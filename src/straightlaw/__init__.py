@@ -25,6 +25,7 @@ from .indexsets import (
 )
 from .polynomials import (
     MONOMIAL_ONE,
+    Combination,
     Monomial,
     Polynomial,
     Variable,
@@ -41,11 +42,16 @@ from .bideterminants import (
     LaplaceCombination,
     LaplaceProduct,
     Minor,
+    MinorWord,
     RELATION_FAMILIES,
+    WordCombination,
+    canonicalize,
+    check_bounds,
     check_relation,
     eval_on_permutation,
     expand_laplace,
     expand_minor,
+    expand_word,
     laplace_expansion,
     matching_permutations,
     relation_complementary,
@@ -55,20 +61,11 @@ from .bideterminants import (
 )
 from .straightening import (
     MergeMap,
-    PairCombination,
     merge_map,
     straighten_laplace,
     straighten_pair,
 )
-from .standard import (
-    MinorWord,
-    WordCombination,
-    canonicalize,
-    content,
-    expand_word,
-    is_standard,
-    normal_form,
-)
+from .standard import content, is_standard, normal_form
 from .independence import (
     CompletenessReport,
     IndependenceReport,

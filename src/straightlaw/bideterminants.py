@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator, Tuple
 
 from .indexsets import (
     EMPTY,
     IndexSet,
     MAX_GROUND,
     complement,
-    full_set,
     laplace_sign,
     parity_sign,
     permutation_sign,
@@ -22,7 +21,7 @@ from .indexsets import (
     subsets_between,
     supersets,
 )
-from .polynomials import Polynomial, monomial, xvar
+from .polynomials import Combination, Polynomial, monomial, xvar
 
 # Ground bound for the permutation criterion (n! enumeration).
 SIGMA_CHECK_MAX_GROUND = 8
@@ -69,12 +68,26 @@ class Minor:
         return self._hash
 
     def __str__(self) -> str:
-        r = " ".join(map(str, self.rows.elements))
-        c = " ".join(map(str, self.cols.elements))
-        return f"[{r}|{c}]"
+        return _format_pair(self.rows, self.cols, "[]")
 
     def __repr__(self) -> str:
         return f"Minor({self.rows!r}, {self.cols!r})"
+
+
+def _format_pair(rows: IndexSet, cols: IndexSet, brackets: str) -> str:
+    r = " ".join(map(str, rows.elements))
+    c = " ".join(map(str, cols.elements))
+    return f"{brackets[0]}{r}|{c}{brackets[1]}"
+
+
+def check_bounds(minors: Iterable[Minor], m: int | None = None, n: int | None = None) -> None:
+    """Raise ValueError at the first minor with a row index above m or a
+    column index above n; a bound of None is not checked."""
+    for f in minors:
+        if m is not None and f.rows.elements and f.rows.elements[-1] > m:
+            raise ValueError(f"row index {f.rows.elements[-1]} exceeds m={m}")
+        if n is not None and f.cols.elements and f.cols.elements[-1] > n:
+            raise ValueError(f"column index {f.cols.elements[-1]} exceeds n={n}")
 
 
 class LaplaceProduct:
@@ -100,9 +113,6 @@ class LaplaceProduct:
     def sign(self) -> int:
         return laplace_sign(self.rows, self.cols)
 
-    def complement_pair(self) -> Minor:
-        return Minor(complement(self.rows, self.ground), complement(self.cols, self.ground))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, LaplaceProduct):
             return (self.rows, self.cols, self.ground) == (other.rows, other.cols, other.ground)
@@ -112,35 +122,78 @@ class LaplaceProduct:
         return hash((self.rows, self.cols, self.ground))
 
     def __str__(self) -> str:
-        r = " ".join(map(str, self.rows.elements))
-        c = " ".join(map(str, self.cols.elements))
-        return f"{{{r}|{c}}}"
+        return _format_pair(self.rows, self.cols, "{}")
 
     def __repr__(self) -> str:
         return f"LaplaceProduct({self.rows!r}, {self.cols!r}, ground={self.ground})"
 
 
-@lru_cache(maxsize=None)
-def _expand_minor(rows: IndexSet, cols: IndexSet) -> Polynomial:
+def leibniz(rows, cols, var) -> Polynomial:
+    """Determinant of the matrix with entry var(r, c) in row r and column c,
+    as the plain signed sum over all bijections from the increasing index
+    sequence rows onto cols; 1 when both are empty, 0 on a size mismatch."""
     if len(rows) != len(cols):
         return Polynomial.zero()
-    if not rows:
-        return Polynomial.one()
-    terms = {}
-    for perm in itertools.permutations(cols.elements):
-        mono = monomial({xvar(r, c): 1 for r, c in zip(rows.elements, perm)})
-        terms[mono] = terms.get(mono, 0) + permutation_sign(perm)
-    return Polynomial(terms)
+    return Polynomial(
+        (monomial({var(r, c): 1 for r, c in zip(rows, perm)}), permutation_sign(perm))
+        for perm in itertools.permutations(cols)
+    )
+
+
+@lru_cache(maxsize=None)
+def _expand_minor(rows: IndexSet, cols: IndexSet) -> Polynomial:
+    return leibniz(rows.elements, cols.elements, xvar)
 
 
 def expand_minor(minor: Minor, m: int | None = None, n: int | None = None) -> Polynomial:
     """Leibniz expansion of a minor: the signed sum over all bijections from
     its row set to its column set; 1 for ([|]), 0 on a size mismatch."""
-    if m is not None and minor.rows.elements and minor.rows.elements[-1] > m:
-        raise ValueError(f"row index {minor.rows.elements[-1]} exceeds m={m}")
-    if n is not None and minor.cols.elements and minor.cols.elements[-1] > n:
-        raise ValueError(f"column index {minor.cols.elements[-1]} exceeds n={n}")
+    check_bounds((minor,), m, n)
     return _expand_minor(minor.rows, minor.cols)
+
+
+# A word is an ordered product of minors. The zero word (any factor with a
+# row/column size mismatch) is represented by absence, never stored.
+MinorWord = Tuple[Minor, ...]
+
+
+def canonicalize(word: Iterable[Minor]) -> MinorWord | None:
+    """Drop unit factors ([|]); return None when any factor is
+    size-mismatched (the word is the zero element). Factor order is kept."""
+    kept = []
+    for f in word:
+        if f.is_zero:
+            return None
+        if not f.is_unit:
+            kept.append(f)
+    return tuple(kept)
+
+
+@lru_cache(maxsize=None)
+def expand_word(word: MinorWord) -> Polynomial:
+    total = Polynomial.one()
+    for f in word:
+        total = total * _expand_minor(f.rows, f.cols)
+    return total
+
+
+def format_word(word: MinorWord) -> str:
+    return "".join(map(str, word)) or "[|]"
+
+
+def word_order(word: MinorWord) -> tuple:
+    """Sort key of a word: its factors' (rows, cols) in sequence."""
+    return tuple(f.sort_key() for f in word)
+
+
+class WordCombination(Combination):
+    """Integer linear combination of canonical minor words."""
+
+    __slots__ = ()
+    _canonical = staticmethod(canonicalize)
+    _sort_key = staticmethod(word_order)
+    _expand_key = staticmethod(expand_word)
+    _format_key = staticmethod(format_word)
 
 
 @lru_cache(maxsize=None)
@@ -173,79 +226,46 @@ def eval_on_permutation(lp: LaplaceProduct, sigma) -> int:
     return permutation_sign(sigma)
 
 
-class LaplaceCombination:
+class LaplaceCombination(Combination):
     """Integer linear combination of Laplace products over one ground size.
 
     Keys are (row set, column set) pairs; size-mismatched pairs denote zero
     and are never stored, nor are zero coefficients.
     """
 
-    __slots__ = ("ground", "_terms")
+    __slots__ = ("ground",)
 
-    def __init__(self, ground: int, terms=None):
+    def __init__(self, ground: int, terms=()):
         if not isinstance(ground, int) or ground < 0 or ground > MAX_GROUND:
             raise ValueError(f"ground size must be an integer in 0..{MAX_GROUND}, got {ground!r}")
         self.ground = ground
-        data: dict[tuple[IndexSet, IndexSet], int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (a, b), coeff in items:
-                a = a if isinstance(a, IndexSet) else IndexSet(a)
-                b = b if isinstance(b, IndexSet) else IndexSet(b)
-                for s in (a, b):
-                    if s.elements and s.elements[-1] > ground:
-                        raise ValueError(f"element {s.elements[-1]} exceeds ground size {ground}")
-                if len(a) != len(b) or not coeff:
-                    continue
-                c = data.get((a, b), 0) + coeff
-                if c:
-                    data[(a, b)] = c
-                elif (a, b) in data:
-                    del data[(a, b)]
-        self._terms = data
+        super().__init__(terms)
 
-    def items(self) -> list[tuple[tuple[IndexSet, IndexSet], int]]:
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0].elements, kv[0][1].elements))
+    def _canonical(self, key):
+        a, b = key
+        a = a if isinstance(a, IndexSet) else IndexSet(a)
+        b = b if isinstance(b, IndexSet) else IndexSet(b)
+        for s in (a, b):
+            if s.elements and s.elements[-1] > self.ground:
+                raise ValueError(f"element {s.elements[-1]} exceeds ground size {self.ground}")
+        return (a, b) if len(a) == len(b) else None
+
+    @staticmethod
+    def _sort_key(key) -> tuple:
+        return (key[0].elements, key[1].elements)
 
     def coefficient(self, rows, cols) -> int:
-        rows = rows if isinstance(rows, IndexSet) else IndexSet(rows)
-        cols = cols if isinstance(cols, IndexSet) else IndexSet(cols)
-        return self._terms.get((rows, cols), 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+        return super().coefficient((rows, cols))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LaplaceCombination):
-            return self.ground == other.ground and self._terms == other._terms
-        return NotImplemented
+        return super().__eq__(other) is True and self.ground == other.ground
 
-    __hash__ = None  # type: ignore[assignment]
+    def _expand_key(self, key) -> Polynomial:
+        return _expand_laplace(key[0], key[1], self.ground)
 
-    def expand(self) -> Polynomial:
-        total = Polynomial.zero()
-        for (a, b), coeff in self._terms.items():
-            total = total + _expand_laplace(a, b, self.ground) * coeff
-        return total
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for (a, b), coeff in self.items():
-            r = " ".join(map(str, a.elements))
-            c = " ".join(map(str, b.elements))
-            body = f"{{{r}|{c}}}"
-            mag = abs(coeff)
-            text = body if mag == 1 else f"{mag}{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + text)
-        return " ".join(pieces)
+    @staticmethod
+    def _format_key(key) -> str:
+        return _format_pair(key[0], key[1], "{}")
 
     def __repr__(self) -> str:
         return f"LaplaceCombination(n={self.ground}, {self})"
@@ -295,12 +315,8 @@ def check_relation(rel: LaplaceCombination, max_ground: int = SIGMA_CHECK_MAX_GR
     totals: dict[tuple[int, ...], int] = {}
     for (a, b), coeff in rel._terms.items():
         for sig in matching_permutations(a, b, n):
-            c = totals.get(sig, 0) + coeff
-            if c:
-                totals[sig] = c
-            elif sig in totals:
-                del totals[sig]
-    return not totals
+            totals[sig] = totals.get(sig, 0) + coeff
+    return not any(totals.values())
 
 
 def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
@@ -310,12 +326,10 @@ def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination
     Only size-matched terms are materialized; the result always expands to
     the zero polynomial.
     """
-    acc: dict[tuple[IndexSet, IndexSet], int] = {}
-    for v in subsets(b, size=len(a)):
-        acc[(a, v)] = acc.get((a, v), 0) + 1
-    for u in supersets(a, n, size=len(b)):
-        acc[(u, b)] = acc.get((u, b), 0) - 1
-    return LaplaceCombination(n, acc)
+    return LaplaceCombination(n, itertools.chain(
+        (((a, v), 1) for v in subsets(b, size=len(a))),
+        (((u, b), -1) for u in supersets(a, n, size=len(b))),
+    ))
 
 
 def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) -> LaplaceCombination:
@@ -324,46 +338,35 @@ def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) 
     alternates over subsets w of c removed from b."""
     if not c.issubset(b):
         raise ValueError(f"{c} is not contained in {b}")
-    acc: dict[tuple[IndexSet, IndexSet], int] = {}
-    for v in subsets_between(c, b, size=len(a)):
-        acc[(a, v)] = acc.get((a, v), 0) + 1
+    terms = [((a, v), 1) for v in subsets_between(c, b, size=len(a))]
     for w in subsets(c):
         sign = parity_sign(len(w))
         bw = b.difference(w)
-        for u in supersets(a, n, size=len(bw)):
-            acc[(u, bw)] = acc.get((u, bw), 0) - sign
-    return LaplaceCombination(n, acc)
+        terms += (((u, bw), -sign) for u in supersets(a, n, size=len(bw)))
+    return LaplaceCombination(n, terms)
 
 
 def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
     """Superset-against-complement form: alternating sum over supersets
     (u, w) of (a, b) minus the sum over column subsets v of b taken against
     the complement of v."""
-    acc: dict[tuple[IndexSet, IndexSet], int] = {}
-    for w in supersets(b, n):
-        sign = parity_sign(n - len(w))
-        for u in supersets(a, n, size=len(w)):
-            acc[(u, w)] = acc.get((u, w), 0) + sign
-    for v in subsets(b):
-        if n - len(v) == len(a):
-            key = (a, complement(v, n))
-            acc[key] = acc.get(key, 0) - 1
-    return LaplaceCombination(n, acc)
+    terms = [
+        ((u, w), parity_sign(n - len(w)))
+        for w in supersets(b, n)
+        for u in supersets(a, n, size=len(w))
+    ]
+    terms += (((a, complement(v, n)), -1) for v in subsets(b) if n - len(v) == len(a))
+    return LaplaceCombination(n, terms)
 
 
 def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCombination:
     """Determinant minus its expansion over all complementary minors against
     a fixed column set (side="cols") or a fixed row set (side="rows")."""
-    acc: dict[tuple[IndexSet, IndexSet], int] = {(EMPTY, EMPTY): 1}
-    if side == "cols":
-        for s in subsets(n, size=len(fixed)):
-            acc[(s, fixed)] = acc.get((s, fixed), 0) - 1
-    elif side == "rows":
-        for t in subsets(n, size=len(fixed)):
-            acc[(fixed, t)] = acc.get((fixed, t), 0) - 1
-    else:
+    if side not in ("rows", "cols"):
         raise ValueError(f"side must be 'rows' or 'cols', got {side!r}")
-    return LaplaceCombination(n, acc)
+    terms = [((EMPTY, EMPTY), 1)]
+    terms += (((s, fixed) if side == "cols" else (fixed, s), -1) for s in subsets(n, size=len(fixed)))
+    return LaplaceCombination(n, terms)
 
 
 RELATION_FAMILIES = ("theorem1", "cor1", "cor2", "laplace")

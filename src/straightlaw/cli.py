@@ -17,13 +17,16 @@ from .indexsets import IndexSet
 from .bideterminants import (
     RELATION_FAMILIES,
     SIGMA_CHECK_MAX_GROUND,
+    Minor,
+    WordCombination,
+    check_bounds,
     check_relation,
+    format_word,
     relation_family,
 )
 from .independence import Specialization, verify_independence, word_leading_witness
 from .polynomials import format_monomial
-from .standard import WordCombination, content, expand_word, is_standard, normal_form
-from .bideterminants import Minor
+from .standard import content, is_standard, normal_form
 
 CERT_SCHEMA = "straightlaw-cert/1"
 ORACLE_MAX_GROUND = 4
@@ -155,38 +158,21 @@ def parse_expression(text: str) -> WordCombination:
 
 def format_expression(comb: WordCombination) -> str:
     """Printer inverse to parse_expression (on canonical combinations)."""
-    if not comb:
-        return "0"
-    pieces = []
-    for word, coeff in comb.items():
-        body = "".join(str(f) for f in word) if word else "[|]"
-        mag = abs(coeff)
-        text = body if mag == 1 else f"{mag}{body}"
-        if not pieces:
-            pieces.append(text if coeff > 0 else f"-{text}")
-        else:
-            pieces.append(("+ " if coeff > 0 else "- ") + text)
-    return " ".join(pieces)
+    return str(comb)
 
 
-def _infer_dims(raw_terms) -> tuple[int, int]:
-    m = n = 1
-    for word, _ in raw_terms:
-        for f in word:
-            if f.rows.elements:
-                m = max(m, f.rows.elements[-1])
-            if f.cols.elements:
-                n = max(n, f.cols.elements[-1])
-    return m, n
-
-
-def _check_dims(raw_terms, m: int, n: int) -> None:
-    for word, _ in raw_terms:
-        for f in word:
-            if f.rows.elements and f.rows.elements[-1] > m:
-                raise ValueError(f"row index {f.rows.elements[-1]} exceeds m={m}")
-            if f.cols.elements and f.cols.elements[-1] > n:
-                raise ValueError(f"column index {f.cols.elements[-1]} exceeds n={n}")
+def _parse_with_dims(text: str, m: int | None, n: int | None) -> tuple[WordCombination, int, int]:
+    """Parse an expression against an m x n matrix. A dimension left as None
+    becomes the largest index of its kind written anywhere in the
+    expression, zero words and unit factors included, and at least 1."""
+    raw = _parse_raw(text)
+    factors = [f for word, _ in raw for f in word]
+    if m is None:
+        m = max((f.rows.elements[-1] for f in factors if f.rows), default=1)
+    if n is None:
+        n = max((f.cols.elements[-1] for f in factors if f.cols), default=1)
+    check_bounds(factors, m, n)
+    return WordCombination(raw), m, n
 
 
 def _word_json(word) -> list:
@@ -197,12 +183,7 @@ def build_certificate(text: str, m: int | None, n: int | None) -> dict:
     """Straighten an expression and wrap input, output and computed verdicts
     into a certificate. Verdicts are computed from the expansions, never
     assumed."""
-    raw = _parse_raw(text)
-    im, inn = _infer_dims(raw)
-    m = im if m is None else m
-    n = inn if n is None else n
-    _check_dims(raw, m, n)
-    comb = WordCombination(raw)
+    comb, m, n = _parse_with_dims(text, m, n)
     result = normal_form(comb, m, n)
 
     oracle_ok = result.expand() == comb.expand()
@@ -237,16 +218,42 @@ def _cert_verified(cert: dict) -> bool:
     return bool(cert["standard"] and cert["oracleVerified"] and cert["contentPreserved"])
 
 
+def certificate_combination(cert) -> WordCombination:
+    """The combination a certificate claims. Checks the certificate's shape
+    first and raises ValueError with a one-line message when it is not a
+    certificate."""
+    if not isinstance(cert, dict) or cert.get("schema") != CERT_SCHEMA:
+        raise ValueError(f"not a {CERT_SCHEMA} certificate")
+    for field in ("input", "dims", "terms"):
+        if field not in cert:
+            raise ValueError(f"certificate is missing the {field!r} field")
+    if not isinstance(cert["input"], str):
+        raise ValueError("certificate field 'input' is not a string")
+    dims = cert["dims"]
+    if not isinstance(dims, dict) or any(type(dims.get(k)) is not int for k in ("m", "n")):
+        raise ValueError("certificate field 'dims' does not hold integers m and n")
+    if not isinstance(cert["terms"], list):
+        raise ValueError("certificate field 'terms' is not a list")
+    claimed = []
+    for i, t in enumerate(cert["terms"]):
+        try:
+            word = tuple(Minor(IndexSet(f["rows"]), IndexSet(f["cols"])) for f in t["factors"])
+            coeff = t["coeff"]
+        except (KeyError, TypeError):
+            coeff = None
+        if type(coeff) is not int:
+            raise ValueError(f"certificate term {i} is not of the form "
+                             '{"coeff": int, "factors": [{"rows": [...], "cols": [...]}, ...]}')
+        claimed.append((word, coeff))
+    return WordCombination(claimed)
+
+
 def _cmd_straighten(args) -> int:
     cert = build_certificate(args.expression, args.m, args.n)
-    if args.text:
-        comb = WordCombination({
-            tuple(Minor(IndexSet(f["rows"]), IndexSet(f["cols"])) for f in t["factors"]): t["coeff"]
-            for t in cert["terms"]
-        })
+    if args.format == "text":
         print(f"input:  {cert['input']}")
         print(f"dims:   {cert['dims']['m']}x{cert['dims']['n']}")
-        print(f"output: {format_expression(comb)}")
+        print(f"output: {certificate_combination(cert)}")
         print(f"standard={cert['standard']} oracleVerified={cert['oracleVerified']} "
               f"contentPreserved={cert['contentPreserved']}")
     else:
@@ -260,24 +267,12 @@ def _cmd_verify(args) -> int:
             cert = json.load(fh)
     else:
         cert = json.load(sys.stdin)
-    if not isinstance(cert, dict) or cert.get("schema") != CERT_SCHEMA:
-        print(f"error: not a {CERT_SCHEMA} certificate", file=sys.stderr)
-        return EXIT_USAGE
-    for field in ("input", "dims", "terms"):
-        if field not in cert:
-            print(f"error: certificate is missing the {field!r} field", file=sys.stderr)
-            return EXIT_USAGE
-
-    m, n = cert["dims"]["m"], cert["dims"]["n"]
-    claimed = WordCombination({
-        tuple(Minor(IndexSet(f["rows"]), IndexSet(f["cols"])) for f in t["factors"]): t["coeff"]
-        for t in cert["terms"]
-    })
+    claimed = certificate_combination(cert)
     comb = parse_expression(cert["input"])
 
     oracle_ok = claimed.expand() == comb.expand()
     standard_ok = all(is_standard(word) for word, _ in claimed.items())
-    recomputed = build_certificate(cert["input"], m, n)
+    recomputed = build_certificate(cert["input"], cert["dims"]["m"], cert["dims"]["n"])
     terms_match = recomputed["terms"] == cert["terms"]
 
     verdict = oracle_ok and standard_ok and terms_match and _cert_verified(recomputed)
@@ -289,7 +284,7 @@ def _cmd_verify(args) -> int:
         "termsMatch": terms_match,
         "verified": verdict,
     }
-    if args.text:
+    if args.format == "text":
         for key in ("oracleVerified", "standard", "termsMatch", "verified"):
             print(f"{key}={payload[key]}")
     else:
@@ -329,7 +324,7 @@ def _cmd_relations(args) -> int:
         "families": reports,
         "verified": failures == 0,
     }
-    if args.json:
+    if args.format == "json":
         _emit_json(payload)
     else:
         for rep in reports:
@@ -362,7 +357,7 @@ def _cmd_independence(args) -> int:
         "decodeRoundTrip": report.decode_round_trip,
         "independent": report.independent,
     }
-    if args.json:
+    if args.format == "json":
         _emit_json(payload)
     else:
         print(report.summary())
@@ -370,12 +365,7 @@ def _cmd_independence(args) -> int:
 
 
 def _cmd_leading(args) -> int:
-    raw = _parse_raw(args.expression)
-    im, inn = _infer_dims(raw)
-    m = im if args.m is None else args.m
-    n = inn if args.n is None else args.n
-    _check_dims(raw, m, n)
-    comb = WordCombination(raw)
+    comb, m, n = _parse_with_dims(args.expression, args.m, args.n)
     N = args.factor_rank if args.factor_rank else min(m, n)
     spec = Specialization(m, n, N)
     entries = []
@@ -387,13 +377,9 @@ def _cmd_leading(args) -> int:
             "witness": format_monomial(witness),
         })
     payload = {"dims": {"m": m, "n": n}, "N": N, "terms": entries}
-    if args.text:
-        for e in entries:
-            word = "".join(
-                "[" + " ".join(map(str, f["rows"])) + "|" + " ".join(map(str, f["cols"])) + "]"
-                for f in e["factors"]
-            ) or "[|]"
-            print(f"{word}: {e['witness']}")
+    if args.format == "text":
+        for (word, _), e in zip(comb.items(), entries):
+            print(f"{format_word(word)}: {e['witness']}")
     else:
         _emit_json(payload)
     return EXIT_OK
@@ -406,6 +392,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _add_format(p: argparse.ArgumentParser, default: str) -> None:
+    """Mutually exclusive --json and --text, stored as args.format."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--json", dest="format", action="store_const", const="json", help="JSON output")
+    group.add_argument("--text", dest="format", action="store_const", const="text",
+                       help="human-readable output")
+    p.set_defaults(format=default)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="straightlaw",
@@ -415,17 +410,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("straighten", help="straighten an expression and emit a JSON certificate")
-    p.add_argument("expression", help="e.g. '2[1|1] - [1 2|1 2]' or '[1|2][2|1]'")
+    p.add_argument("expression", help="e.g. '2[1|1] - [1 2|1 2]' or '[1|2][2|1]'; an expression "
+                                      "starting with '-' goes after '--', e.g. -- '-3[1|2][2|1]'")
     p.add_argument("--m", type=int, default=None, help="row count (default: largest row index)")
     p.add_argument("--n", type=int, default=None, help="column count (default: largest column index)")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
-    p.add_argument("--text", action="store_true", help="human-readable output")
+    _add_format(p, "json")
     p.set_defaults(func=_cmd_straighten)
 
     p = sub.add_parser("verify", help="re-check a certificate produced by 'straighten'")
     p.add_argument("file", nargs="?", default="-", help="certificate path (default: stdin)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true")
+    _add_format(p, "json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -437,46 +431,39 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="ground size (square matrix)")
     p.add_argument("--family", choices=RELATION_FAMILIES, default=None,
                    help="relation family (default: all)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true")
+    _add_format(p, "text")
     p.set_defaults(func=_cmd_relations)
 
     p = sub.add_parser("independence", help="verify independence of standard monomials")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-factors", type=int, required=True, dest="max_factors")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true")
+    _add_format(p, "text")
     p.set_defaults(func=_cmd_independence)
 
     p = sub.add_parser("leading", help="leading witness monomials under the X = YZ factorization")
-    p.add_argument("expression")
+    p.add_argument("expression", help="as for 'straighten'")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--N", type=int, default=None, dest="factor_rank",
                    help="inner dimension of the factorization (default: min(m, n))")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true")
+    _add_format(p, "json")
     p.set_defaults(func=_cmd_leading)
 
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,11 +6,12 @@ factorization X = Y Z."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .indexsets import IndexSet, is_good, leq_pair, permutation_sign, subsets
+from .indexsets import IndexSet, is_good, leq, leq_pair, subsets
 from .polynomials import (
     MONOMIAL_ONE,
     Monomial,
@@ -21,11 +22,16 @@ from .polynomials import (
     yvar,
     zvar,
 )
-from .bideterminants import Minor, _expand_laplace, _expand_minor, relation_fundamental
-from .standard import MinorWord, expand_word
+from .bideterminants import (
+    Minor,
+    MinorWord,
+    _expand_laplace,
+    _expand_minor,
+    expand_word,
+    leibniz,
+    relation_fundamental,
+)
 from .straightening import straighten_laplace
-
-import itertools
 
 
 @dataclass(frozen=True)
@@ -62,24 +68,12 @@ def _x_image(i: int, j: int, N: int) -> Polynomial:
 
 def y_minor(a: IndexSet, s: IndexSet) -> Polynomial:
     """Minor of the generic left factor: rows a, superscript columns s."""
-    if len(a) != len(s):
-        return Polynomial.zero()
-    terms: dict[Monomial, int] = {}
-    for perm in itertools.permutations(a.elements):
-        mono = monomial({yvar(i, v): 1 for i, v in zip(perm, s.elements)})
-        terms[mono] = terms.get(mono, 0) + permutation_sign(perm)
-    return Polynomial(terms)
+    return leibniz(a.elements, s.elements, yvar)
 
 
 def z_minor(s: IndexSet, b: IndexSet) -> Polynomial:
     """Minor of the generic right factor: superscript rows s, columns b."""
-    if len(s) != len(b):
-        return Polynomial.zero()
-    terms: dict[Monomial, int] = {}
-    for perm in itertools.permutations(b.elements):
-        mono = monomial({zvar(j, v): 1 for j, v in zip(perm, s.elements)})
-        terms[mono] = terms.get(mono, 0) + permutation_sign(perm)
-    return Polynomial(terms)
+    return leibniz(s.elements, b.elements, lambda v, j: zvar(j, v))
 
 
 def binet_cauchy_check(a: IndexSet, b: IndexSet, spec: Specialization) -> bool:
@@ -130,7 +124,7 @@ def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
         want = "z"
     else:
         raise ValueError(f"kind must be 'rows' or 'cols', got {kind!r}")
-    remaining: dict[tuple[int, int], int] = {}
+    remaining: Counter = Counter()
     for v, e in mono:
         if v[0] != want:
             raise ValueError(f"expected only {want}-variables, found {v[0]}[{v[1]},{v[2]}]")
@@ -147,16 +141,12 @@ def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
             elems.append(min(candidates))
         if any(x >= y for x, y in zip(elems, elems[1:])):
             raise ValueError(f"peeled indices {elems} are not strictly increasing")
-        for s, idx in enumerate(elems, start=1):
-            e = remaining[(idx, s)] - 1
-            if e:
-                remaining[(idx, s)] = e
-            else:
-                del remaining[(idx, s)]
+        # Counter subtraction keeps only the exponents still positive.
+        remaining -= Counter((idx, s) for s, idx in enumerate(elems, start=1))
         chain.append(IndexSet(elems))
 
     for s, t in zip(chain, chain[1:]):
-        if not (len(s) >= len(t) and all(a <= b for a, b in zip(s.elements, t.elements))):
+        if not leq(s, t):
             raise ValueError(f"decoded sets {s}, {t} do not form a chain")
     return chain
 

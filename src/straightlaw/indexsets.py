@@ -66,14 +66,8 @@ class IndexSet:
     def difference(self, other: Iterable[int]) -> "IndexSet":
         return IndexSet(set(self.elements) - set(other))
 
-    def intersection(self, other: Iterable[int]) -> "IndexSet":
-        return IndexSet(set(self.elements) & set(other))
-
     def issubset(self, other: Iterable[int]) -> bool:
         return set(self.elements) <= set(other)
-
-    def issuperset(self, other: Iterable[int]) -> bool:
-        return set(self.elements) >= set(other)
 
 
 EMPTY = IndexSet()

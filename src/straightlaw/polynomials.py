@@ -5,6 +5,7 @@ arguments."""
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping, Tuple
 
 # A variable is a plain tuple: ('x', row, col), ('y', row, superscript) or
@@ -75,10 +76,6 @@ def mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return monomial(acc)
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def compare_monomials(m1: Monomial, m2: Monomial, key=variable_key) -> int:
     """-1, 0 or +1: compare exponents variable by variable, from the greatest
     variable downward; the first difference decides."""
@@ -111,27 +108,99 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-class Polynomial:
-    """Sparse polynomial: a map from monomials to nonzero int coefficients.
+class Combination:
+    """Sparse integer linear combination: a map from keys to nonzero ints.
 
-    Instances are treated as immutable; every operation returns a new value,
-    so polynomials can be shared and cached freely.
+    The constructor takes a dict or an iterable of (key, coeff) pairs, sums
+    the coefficients of equal keys and drops the zero sums. Instances are
+    treated as immutable. A subclass fixes the kind of key through hooks:
+    _canonical (the stored form of a key, or None for a key that denotes
+    zero), _sort_key (the order of items()), _format_key or _format_term
+    (the text of one term) and _expand_key (the polynomial a key denotes).
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        data: dict[Monomial, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                if coeff:
-                    c = data.get(mono, 0) + coeff
-                    if c:
-                        data[mono] = c
-                    elif mono in data:
-                        del data[mono]
-        self._terms = data
+    def __init__(self, terms=()):
+        canonical = self._canonical
+        acc: dict = {}
+        for key, coeff in terms.items() if isinstance(terms, dict) else terms:
+            key = canonical(key)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + coeff
+        self._terms = nonzero(acc)
+
+    @staticmethod
+    def _canonical(key):
+        return key
+
+    def items(self) -> list:
+        """Deterministically ordered list of (key, coefficient)."""
+        sort_key = self._sort_key
+        return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
+
+    def coefficient(self, key) -> int:
+        return self._terms.get(self._canonical(key), 0)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._terms == other._terms
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def expand(self) -> "Polynomial":
+        """The sum of coeff times the polynomial of key over all terms."""
+        acc: dict = {}
+        for key, coeff in self._terms.items():
+            for mono, c in self._expand_key(key)._terms.items():
+                acc[mono] = acc.get(mono, 0) + coeff * c
+        return Polynomial._wrap(acc)
+
+    def _format_term(self, key, mag: int) -> str:
+        body = self._format_key(key)
+        return body if mag == 1 else f"{mag}{body}"
+
+    def __str__(self) -> str:
+        pieces = []
+        for key, coeff in self.items():
+            text = self._format_term(key, abs(coeff))
+            if pieces:
+                pieces.append(("+ " if coeff > 0 else "- ") + text)
+            else:
+                pieces.append(text if coeff > 0 else f"-{text}")
+        return " ".join(pieces) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+def nonzero(acc: dict) -> dict:
+    """The entries of an accumulator whose sums did not cancel to zero."""
+    return {k: c for k, c in acc.items() if c}
+
+
+class Polynomial(Combination):
+    """Sparse polynomial: a map from monomials to nonzero int coefficients.
+
+    Every operation returns a new value, so polynomials can be shared and
+    cached freely.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _wrap(cls, acc: dict) -> "Polynomial":
+        """A polynomial from sums keyed by canonical monomials."""
+        out = cls.__new__(cls)
+        out._terms = nonzero(acc)
+        return out
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -149,27 +218,23 @@ class Polynomial:
     def var(cls, v: Variable, exponent: int = 1) -> "Polynomial":
         return cls({monomial({v: exponent}): 1})
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self._terms == other._terms
         if isinstance(other, int):
-            return self._terms == ({} if other == 0 else {MONOMIAL_ONE: other})
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+            other = Polynomial.constant(other)
+        return super().__eq__(other)
 
     def terms(self) -> list[tuple[Monomial, int]]:
-        """Deterministically ordered list of (monomial, coefficient)."""
+        """(monomial, coefficient) pairs in ascending tuple order."""
         return sorted(self._terms.items())
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+    # items() and the printed form list the greatest monomial first.
+    _sort_key = staticmethod(functools.cmp_to_key(lambda a, b: compare_monomials(b, a)))
+
+    def _format_term(self, mono: Monomial, mag: int) -> str:
+        body = format_monomial(mono)
+        if body == "1":
+            return str(mag)
+        return body if mag == 1 else f"{mag}*{body}"
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -178,21 +243,13 @@ class Polynomial:
             return NotImplemented
         data = dict(self._terms)
         for mono, coeff in other._terms.items():
-            c = data.get(mono, 0) + coeff
-            if c:
-                data[mono] = c
-            elif mono in data:
-                del data[mono]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = data
-        return out
+            data[mono] = data.get(mono, 0) + coeff
+        return Polynomial._wrap(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return Polynomial._wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -206,25 +263,15 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero()
-            out = Polynomial.__new__(Polynomial)
-            out._terms = {m: c * other for m, c in self._terms.items()}
-            return out
+            return Polynomial._wrap({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         data: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = mul_monomials(m1, m2)
-                c = data.get(mono, 0) + c1 * c2
-                if c:
-                    data[mono] = c
-                elif mono in data:
-                    del data[mono]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = data
-        return out
+                data[mono] = data.get(mono, 0) + c1 * c2
+        return Polynomial._wrap(data)
 
     __rmul__ = __mul__
 
@@ -250,9 +297,6 @@ class Polynomial:
             if best is None or compare_monomials(mono, best, key) > 0:
                 best = mono
         return best
-
-    def leading_coefficient(self, key=variable_key) -> int:
-        return self._terms[self.leading_monomial(key)]
 
     def evaluate(self, values: Mapping[Variable, int]) -> int:
         """Exact integer evaluation; every variable present must be assigned."""
@@ -284,33 +328,3 @@ class Polynomial:
                     prod = prod * p
             total = total + prod
         return total
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        import functools
-
-        ordered = sorted(
-            self._terms.items(),
-            key=functools.cmp_to_key(lambda a, b: compare_monomials(a[0], b[0])),
-            reverse=True,
-        )
-        pieces = []
-        for idx, (mono, coeff) in enumerate(ordered):
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = format_monomial(mono)
-            if body == "1":
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if idx == 0:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f"{sign} {text}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self})"

@@ -1,22 +1,22 @@
 """Standard monomials in the minors of a rectangular matrix: the chain
-predicate, canonical words, content, and the normal-form rewriting that
-expresses any product of minors as an integer combination of standard
-monomials."""
+predicate, content, and the normal-form rewriting that expresses any product
+of minors as an integer combination of standard monomials."""
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from typing import Iterable, Tuple
 
 from .indexsets import leq_pair, multiset_content
-from .bideterminants import Minor, _expand_minor
-from .polynomials import Polynomial
+from .bideterminants import (  # expand_word stays importable from here
+    Minor,
+    MinorWord,
+    WordCombination,
+    check_bounds,
+    expand_word,
+    word_order,
+)
+from .polynomials import nonzero
 from .straightening import straighten_pair
-
-# A word is an ordered product of minors. The zero word (any factor with a
-# row/column size mismatch) is represented by absence, never stored.
-MinorWord = Tuple[Minor, ...]
 
 
 def is_standard(word: MinorWord) -> bool:
@@ -28,18 +28,6 @@ def is_standard(word: MinorWord) -> bool:
     )
 
 
-def canonicalize(word: Iterable[Minor]) -> MinorWord | None:
-    """Drop unit factors ([|]); return None when any factor is
-    size-mismatched (the word is the zero element). Factor order is kept."""
-    kept = []
-    for f in word:
-        if f.is_zero:
-            return None
-        if not f.is_unit:
-            kept.append(f)
-    return tuple(kept)
-
-
 def content(word: MinorWord) -> tuple[Counter, Counter]:
     """Pair of multisets: all row indices and all column indices, counted
     with multiplicity across the factors."""
@@ -47,87 +35,6 @@ def content(word: MinorWord) -> tuple[Counter, Counter]:
         multiset_content(f.rows for f in word),
         multiset_content(f.cols for f in word),
     )
-
-
-@lru_cache(maxsize=None)
-def expand_word(word: MinorWord) -> Polynomial:
-    total = Polynomial.one()
-    for f in word:
-        total = total * _expand_minor(f.rows, f.cols)
-    return total
-
-
-class WordCombination:
-    """Integer linear combination of canonical minor words."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        data: dict[MinorWord, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, coeff in items:
-                word = canonicalize(word)
-                if word is None or not coeff:
-                    continue
-                c = data.get(word, 0) + coeff
-                if c:
-                    data[word] = c
-                elif word in data:
-                    del data[word]
-        self._terms = data
-
-    @classmethod
-    def from_word(cls, word: Iterable[Minor], coeff: int = 1) -> "WordCombination":
-        return cls({tuple(word): coeff})
-
-    def items(self) -> list[tuple[MinorWord, int]]:
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: tuple(f.sort_key() for f in kv[0]),
-        )
-
-    def coefficient(self, word: Iterable[Minor]) -> int:
-        word = canonicalize(word)
-        if word is None:
-            return 0
-        return self._terms.get(word, 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WordCombination):
-            return self._terms == other._terms
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def expand(self) -> Polynomial:
-        total = Polynomial.zero()
-        for word, coeff in self._terms.items():
-            total = total + expand_word(word) * coeff
-        return total
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for word, coeff in self.items():
-            body = "".join(str(f) for f in word) if word else "[|]"
-            mag = abs(coeff)
-            text = body if mag == 1 else f"{mag}{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + text)
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"WordCombination({self})"
 
 
 # Normal forms of canonical words, keyed by word. Bounded: rewriting only
@@ -145,27 +52,14 @@ def normal_form(combination, m: int | None = None, n: int | None = None) -> Word
     The polynomial expansion and the per-term content are preserved.
     """
     if isinstance(combination, Minor):
-        combination = WordCombination.from_word((combination,))
-    elif not isinstance(combination, WordCombination):
-        combination = WordCombination.from_word(combination)
-
-    if m is not None or n is not None:
-        for word, _ in combination.items():
-            for f in word:
-                if m is not None and f.rows.elements and f.rows.elements[-1] > m:
-                    raise ValueError(f"row index {f.rows.elements[-1]} exceeds m={m}")
-                if n is not None and f.cols.elements and f.cols.elements[-1] > n:
-                    raise ValueError(f"column index {f.cols.elements[-1]} exceeds n={n}")
-
-    acc: dict[MinorWord, int] = {}
-    for word, coeff in combination.items():
-        for out, inner in _normalize(word):
-            c = acc.get(out, 0) + coeff * inner
-            if c:
-                acc[out] = c
-            elif out in acc:
-                del acc[out]
-    return WordCombination(acc)
+        combination = (combination,)
+    if not isinstance(combination, WordCombination):
+        combination = WordCombination({tuple(combination): 1})
+    items = combination.items()
+    check_bounds((f for word, _ in items for f in word), m, n)
+    return WordCombination(
+        (out, coeff * inner) for word, coeff in items for out, inner in _normalize(word)
+    )
 
 
 def _normalize(word: MinorWord) -> tuple:
@@ -179,37 +73,24 @@ def _normalize(word: MinorWord) -> tuple:
         return result
 
     head = word[0]
+    head_key = (head.rows, head.cols)
     acc: dict[MinorWord, int] = {}
     for tail, c1 in _normalize(word[1:]):
-        assert tail, "a nonempty canonical word cannot normalize to the unit"
+        if not tail:
+            raise RuntimeError(f"the nonempty word {word[1:]} normalized to the unit; this is a bug")
         lead = tail[0]
-        if leq_pair((head.rows, head.cols), (lead.rows, lead.cols)):
+        if leq_pair(head_key, (lead.rows, lead.cols)):
             out = (head,) + tail
-            c = acc.get(out, 0) + c1
-            if c:
-                acc[out] = c
-            elif out in acc:
-                del acc[out]
+            acc[out] = acc.get(out, 0) + c1
             continue
-        head_key = (head.rows, head.cols)
-        for (g1, g2), c2 in straighten_pair(head, lead).items():
+        for pair, c2 in straighten_pair(head, lead).items():
             # each rewrite strictly lowers the head, which is the measure
             # that makes the recursion terminate
-            g1_key = (g1.rows, g1.cols)
-            assert leq_pair(g1_key, head_key) and g1_key != head_key, (head, lead, g1)
-            spliced = canonicalize((g1, g2) + tail[1:])
-            if spliced is None:
-                continue
-            for out, c3 in _normalize(spliced):
-                c = acc.get(out, 0) + c1 * c2 * c3
-                if c:
-                    acc[out] = c
-                elif out in acc:
-                    del acc[out]
+            if not (pair and leq_pair((pair[0].rows, pair[0].cols), head_key) and pair[0] != head):
+                raise RuntimeError(f"no strict head drop in straightening {head}{lead}; this is a bug")
+            for out, c3 in _normalize(pair + tail[1:]):
+                acc[out] = acc.get(out, 0) + c1 * c2 * c3
 
-    result = tuple(sorted(
-        acc.items(),
-        key=lambda kv: tuple(f.sort_key() for f in kv[0]),
-    ))
+    result = tuple(sorted(nonzero(acc).items(), key=lambda kv: word_order(kv[0])))
     _NF_CACHE[word] = result
     return result

@@ -20,11 +20,12 @@ from .indexsets import (
 from .bideterminants import (
     LaplaceCombination,
     Minor,
-    _expand_minor,
+    WordCombination,
+    check_bounds,
     relation_complementary,
     relation_inclusion_exclusion,
 )
-from .polynomials import Polynomial
+from .polynomials import nonzero
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,6 @@ class MergeMap:
     values: tuple[int, ...]
     first: IndexSet
     second: IndexSet
-
-    def image_of(self, position: int) -> int:
-        return self.values[position - 1]
 
     def injective_on(self, positions: IndexSet) -> bool:
         seen = set()
@@ -89,18 +87,18 @@ def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
             raise ValueError(f"element {s.elements[-1]} exceeds ground size {n}")
     if len(a) != len(b):
         return LaplaceCombination(n)
-    return LaplaceCombination(n, dict(_straighten(a, b, n, 0)))
+    return LaplaceCombination(n, _straighten(a, b, n))
 
 
-def _straighten(a: IndexSet, b: IndexSet, n: int, depth: int):
+def _sorted_pairs(acc: dict) -> tuple:
+    return tuple(sorted(nonzero(acc).items(), key=lambda kv: (kv[0][0].elements, kv[0][1].elements)))
+
+
+def _straighten(a: IndexSet, b: IndexSet, n: int):
     key = (a, b, n)
     hit = _STRAIGHTEN_CACHE.get(key)
     if hit is not None:
         return hit
-    if depth > 4 ** n:
-        raise RuntimeError(
-            f"straightening recursion guard exceeded at {a}|{b}, n={n}; this is a bug"
-        )
 
     if is_good(a, n) and is_good(b, n):
         result = (((a, b), 1),)
@@ -109,7 +107,7 @@ def _straighten(a: IndexSet, b: IndexSet, n: int, depth: int):
         # once, and every other stored term is strictly below in both
         # coordinates.
         rel = relation_complementary(a, b, n)
-        result = _eliminate(rel, a, b, n, depth, require_row_drop=True)
+        result = _eliminate(rel, a, b, n, require_row_drop=True)
     elif not is_good(b, n):
         # Minimal-violation rewrite on the column side: pin the first place
         # where b exceeds its complement, enlarge b there, and trade through
@@ -124,25 +122,18 @@ def _straighten(a: IndexSet, b: IndexSet, n: int, depth: int):
         d = b.union(prefix)
         c = IndexSet(prefix + b.elements[nu - 1:])
         rel = relation_inclusion_exclusion(a, d, c, n)
-        result = _eliminate(rel, a, b, n, depth, require_row_drop=False)
+        result = _eliminate(rel, a, b, n, require_row_drop=False)
     else:
         # Only the row set is bad: straighten the transposed product and swap
         # the coordinates back (a Laplace product is symmetric under
         # transposition together with swapping its index sets).
-        flipped = _straighten(b, a, n, depth + 1)
-        acc: dict[tuple[IndexSet, IndexSet], int] = {}
-        for (u, w), coeff in flipped:
-            acc[(w, u)] = acc.get((w, u), 0) + coeff
-        result = tuple(sorted(
-            ((k, v) for k, v in acc.items() if v),
-            key=lambda kv: (kv[0][0].elements, kv[0][1].elements),
-        ))
+        result = _sorted_pairs({(w, u): coeff for (u, w), coeff in _straighten(b, a, n)})
 
     _STRAIGHTEN_CACHE[key] = result
     return result
 
 
-def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int, depth: int,
+def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
                require_row_drop: bool):
     """Solve a vanishing combination for its (a, b) term and recurse on the
     remaining terms, which must sit strictly lower in the order."""
@@ -155,88 +146,18 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int, depth:
     for (u, w), coeff in rel.items():
         if u == a and w == b:
             continue
-        # Strict decrease in the pair order at every recursion edge.
-        if require_row_drop:
-            assert lt(u, a) and lt(w, b), f"no strict drop from {a}|{b} to {u}|{w}"
-        else:
-            assert leq(u, a) and lt(w, b), f"no strict drop from {a}|{b} to {u}|{w}"
-        for pair, inner in _straighten(u, w, n, depth + 1):
-            c = acc.get(pair, 0) - eps * coeff * inner
-            if c:
-                acc[pair] = c
-            elif pair in acc:
-                del acc[pair]
-    return tuple(sorted(acc.items(), key=lambda kv: (kv[0][0].elements, kv[0][1].elements)))
-
-
-class PairCombination:
-    """Integer linear combination of ordered two-minor products.
-
-    Keys are (first, second) Minor pairs; any pair containing a
-    size-mismatched factor denotes zero and is never stored.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        data: dict[tuple[Minor, Minor], int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (f1, f2), coeff in items:
-                if f1.is_zero or f2.is_zero or not coeff:
-                    continue
-                c = data.get((f1, f2), 0) + coeff
-                if c:
-                    data[(f1, f2)] = c
-                elif (f1, f2) in data:
-                    del data[(f1, f2)]
-        self._terms = data
-
-    def items(self) -> list[tuple[tuple[Minor, Minor], int]]:
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
-
-    def coefficient(self, first: Minor, second: Minor) -> int:
-        return self._terms.get((first, second), 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PairCombination):
-            return self._terms == other._terms
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def expand(self) -> Polynomial:
-        total = Polynomial.zero()
-        for (f1, f2), coeff in self._terms.items():
-            total = total + (_expand_minor(f1.rows, f1.cols) * _expand_minor(f2.rows, f2.cols)) * coeff
-        return total
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for (f1, f2), coeff in self.items():
-            body = f"{f1}{f2}"
-            mag = abs(coeff)
-            text = body if mag == 1 else f"{mag}{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + text)
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"PairCombination({self})"
+        # Strict decrease in the pair order at every recursion edge is what
+        # makes the recursion terminate.
+        if not ((lt(u, a) if require_row_drop else leq(u, a)) and lt(w, b)):
+            raise RuntimeError(f"no strict drop from {a}|{b} to {u}|{w}; this is a bug")
+        scale = -eps * coeff
+        for pair, inner in _straighten(u, w, n):
+            acc[pair] = acc.get(pair, 0) + scale * inner
+    return _sorted_pairs(acc)
 
 
 def straighten_pair(first: Minor, second: Minor,
-                    m: int | None = None, n: int | None = None) -> PairCombination:
+                    m: int | None = None, n: int | None = None) -> WordCombination:
     """Rewrite a product of two minors of an m x n matrix.
 
     If (rows1, cols1) <= (rows2, cols2) the product is returned unchanged; if
@@ -248,24 +169,22 @@ def straighten_pair(first: Minor, second: Minor,
     pushed back through the merges. Every surviving term has its first
     factor strictly below (rows1, cols1) and at most its second factor.
 
-    Row and column content is preserved per term as multisets.
+    The result is a combination of words of at most two factors: unit
+    factors are dropped, as in every WordCombination. Row and column content
+    is preserved per term as multisets.
     """
-    for f in (first, second):
-        if m is not None and f.rows.elements and f.rows.elements[-1] > m:
-            raise ValueError(f"row index {f.rows.elements[-1]} exceeds m={m}")
-        if n is not None and f.cols.elements and f.cols.elements[-1] > n:
-            raise ValueError(f"column index {f.cols.elements[-1]} exceeds n={n}")
+    check_bounds((first, second), m, n)
     if first.is_zero or second.is_zero:
-        return PairCombination()
+        return WordCombination()
     if leq_pair((first.rows, first.cols), (second.rows, second.cols)):
-        return PairCombination({(first, second): 1})
+        return WordCombination({(first, second): 1})
 
     phi = merge_map(first.rows, second.rows)
     psi = merge_map(first.cols, second.cols)
     k = phi.size
     base_exp = sum(phi.first) + sum(psi.first)
 
-    acc: dict[tuple[Minor, Minor], int] = {}
+    terms = []
     for (ip, jp), coeff in straighten_laplace(phi.first, psi.first, k).items():
         iq = complement(ip, k)
         jq = complement(jp, k)
@@ -273,11 +192,7 @@ def straighten_pair(first: Minor, second: Minor,
                 and psi.injective_on(jp) and psi.injective_on(jq)):
             continue
         sign = parity_sign(base_exp + sum(ip) + sum(jp))
-        key = (Minor(phi.image_set(ip), psi.image_set(jp)),
-               Minor(phi.image_set(iq), psi.image_set(jq)))
-        c = acc.get(key, 0) + sign * coeff
-        if c:
-            acc[key] = c
-        elif key in acc:
-            del acc[key]
-    return PairCombination(acc)
+        word = (Minor(phi.image_set(ip), psi.image_set(jp)),
+                Minor(phi.image_set(iq), psi.image_set(jq)))
+        terms.append((word, sign * coeff))
+    return WordCombination(terms)

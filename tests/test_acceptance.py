@@ -114,7 +114,8 @@ def _check_pair(f1, f2):
     cols_content = multiset_content([f1.cols, f2.cols])
     key1 = (f1.rows, f1.cols)
     noncomparable = not leq_pair(key1, (f2.rows, f2.cols))
-    for (g1, g2), coeff in out.items():
+    for word, coeff in out.items():
+        g1, g2 = (word + (Minor(EMPTY, EMPTY),) * 2)[:2]
         assert coeff != 0
         assert multiset_content([g1.rows, g2.rows]) == rows_content, (f1, f2, g1, g2)
         assert multiset_content([g1.cols, g2.cols]) == cols_content, (f1, f2, g1, g2)

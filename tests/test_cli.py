@@ -119,6 +119,40 @@ def test_verify_round_trip(tmp_path, capsys):
     assert code == 1
 
 
+HOSTILE_CERTIFICATES = {
+    "dims empty": {"dims": {}},
+    "dims.m not an int": {"dims": {"m": "a", "n": 2}},
+    "input not a string": {"input": 5},
+    "terms not a list": {"terms": "x"},
+    "term without factors": {"terms": [{"coeff": 1}]},
+    "term not an object": {"terms": [5]},
+    "coeff not an int": {"terms": [{"coeff": "1", "factors": []}]},
+    "rows not a list of indices": {"terms": [{"coeff": 1, "factors": [{"rows": "12", "cols": [1, 2]}]}]},
+    "factor not an object": {"terms": [{"coeff": 1, "factors": [[1]]}]},
+}
+
+
+@pytest.mark.parametrize("change", HOSTILE_CERTIFICATES.values(), ids=HOSTILE_CERTIFICATES.keys())
+def test_verify_rejects_malformed_certificates(change, tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "straighten", "[2|1][1|2]")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**json.loads(out), **change}))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_json_and_text_are_exclusive(capsys):
+    code, out, err = run_cli(capsys, "straighten", "[1|1]", "--json", "--text")
+    assert code == 1 and out == "" and "not allowed with" in err
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    assert run_cli(capsys, "straighten", "[1|1]", "--text")[1].startswith("input:")
+    code, out, _ = run_cli(capsys, "straighten", "[1|1]")
+    assert code == 0 and json.loads(out)["schema"] == "straightlaw-cert/1"
+
+
 def test_relations_command(capsys):
     code, out, _ = run_cli(capsys, "relations", "--n", "3", "--family", "theorem1")
     assert code == 0

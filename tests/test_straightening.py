@@ -10,7 +10,7 @@ from straightlaw import (
     IndexSet,
     LaplaceProduct,
     Minor,
-    PairCombination,
+    WordCombination,
     expand_laplace,
     expand_minor,
     is_good,
@@ -26,6 +26,10 @@ from straightlaw import (
 from conftest import all_subsets, size_matched_minors
 
 index_sets = st.sets(st.integers(1, 8), max_size=6).map(IndexSet)
+
+# straighten_pair returns words with unit factors dropped; padding with the
+# unit minor restores both factors of each term.
+UNIT = Minor(EMPTY, EMPTY)
 
 
 def test_merge_map_examples():
@@ -122,13 +126,13 @@ def _pair_key(f):
 
 def test_straighten_pair_identity_when_ordered():
     f1, f2 = Minor([1], [1]), Minor([2], [2])
-    assert straighten_pair(f1, f2) == PairCombination({(f1, f2): 1})
+    assert straighten_pair(f1, f2) == WordCombination({(f1, f2): 1})
 
 
 def test_straighten_pair_reversed_singletons():
     f1, f2 = Minor([2], [1]), Minor([1], [2])
     out = straighten_pair(f1, f2)
-    assert out == PairCombination({
+    assert out == WordCombination({
         (Minor([1], [1]), Minor([2], [2])): 1,
         (Minor([1, 2], [1, 2]), Minor(EMPTY, EMPTY)): -1,
     })
@@ -153,7 +157,8 @@ def test_straighten_pair_exhaustive_2x3():
             rows_content = multiset_content([f1.rows, f2.rows])
             cols_content = multiset_content([f1.cols, f2.cols])
             noncomparable = not leq_pair(_pair_key(f1), _pair_key(f2))
-            for (g1, g2), _ in out.items():
+            for word, _ in out.items():
+                g1, g2 = (word + (UNIT, UNIT))[:2]
                 assert multiset_content([g1.rows, g2.rows]) == rows_content
                 assert multiset_content([g1.cols, g2.cols]) == cols_content
                 if noncomparable:
@@ -171,6 +176,8 @@ def test_straighten_pair_random_3x4():
         assert out.expand() == expand_minor(f1) * expand_minor(f2), (f1, f2)
         rows_content = multiset_content([f1.rows, f2.rows])
         cols_content = multiset_content([f1.cols, f2.cols])
-        for (g1, g2), _ in out.items():
+        for word, _ in out.items():
+            g1, g2 = (word + (UNIT, UNIT))[:2]
             assert multiset_content([g1.rows, g2.rows]) == rows_content
             assert multiset_content([g1.cols, g2.cols]) == cols_content
+
