@@ -6,9 +6,7 @@ standard monomials."""
 from .indexsets import (
     EMPTY,
     IndexSet,
-    MAX_GROUND,
     complement,
-    full_set,
     is_good,
     laplace_sign,
     leq,
@@ -16,19 +14,14 @@ from .indexsets import (
     leq_prefix,
     lt,
     multiset_content,
-    parity_sign,
     perm_sign_front,
-    permutation_sign,
     subsets,
     subsets_between,
     supersets,
 )
 from .polynomials import (
     MONOMIAL_ONE,
-    Combination,
-    Monomial,
     Polynomial,
-    Variable,
     compare_monomials,
     format_monomial,
     monomial,
@@ -42,33 +35,27 @@ from .bideterminants import (
     LaplaceCombination,
     LaplaceProduct,
     Minor,
-    MinorWord,
     RELATION_FAMILIES,
     WordCombination,
     canonicalize,
-    check_bounds,
     check_relation,
     eval_on_permutation,
     expand_laplace,
     expand_minor,
     expand_word,
     laplace_expansion,
-    matching_permutations,
     relation_complementary,
     relation_family,
     relation_fundamental,
     relation_inclusion_exclusion,
 )
 from .straightening import (
-    MergeMap,
     merge_map,
     straighten_laplace,
     straighten_pair,
 )
 from .standard import content, is_standard, normal_form
 from .independence import (
-    CompletenessReport,
-    IndependenceReport,
     Specialization,
     binet_cauchy_check,
     decode_leading,
@@ -80,8 +67,6 @@ from .independence import (
     verify_independence,
     verify_relation_completeness,
     word_leading_witness,
-    y_minor,
-    z_minor,
 )
 from .cli import format_expression, parse_expression
 

@@ -299,18 +299,18 @@ def matching_permutations(rows: IndexSet, cols: IndexSet, n: int):
     return _matching_perms_stream(rows, cols, n)
 
 
-def check_relation(rel: LaplaceCombination, max_ground: int = SIGMA_CHECK_MAX_GROUND) -> bool:
+def check_relation(rel: LaplaceCombination) -> bool:
     """Permutation criterion: the combination vanishes identically iff for
     every permutation sigma the coefficients of the terms whose row set maps
     onto their column set sum to zero.
 
     Every sigma in S_n is covered: sigmas matched by no term have an empty
-    sum. Refuses ground sizes above max_ground (n! blow-up guard).
+    sum. Refuses ground sizes above SIGMA_CHECK_MAX_GROUND (n! blow-up guard).
     """
     n = rel.ground
-    if n > max_ground:
+    if n > SIGMA_CHECK_MAX_GROUND:
         raise ValueError(
-            f"permutation criterion refused for ground size {n} > {max_ground}"
+            f"permutation criterion refused for ground size {n} > {SIGMA_CHECK_MAX_GROUND}"
         )
     totals: dict[tuple[int, ...], int] = {}
     for (a, b), coeff in rel._terms.items():

@@ -1,11 +1,23 @@
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from straightlaw import Minor, WordCombination, format_expression, parse_expression
+from straightlaw import (
+    Minor,
+    WordCombination,
+    cli,
+    format_expression,
+    parse_expression,
+    standard,
+    straightening,
+)
 from straightlaw.cli import ParseError, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +154,36 @@ def test_verify_rejects_malformed_certificates(change, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_verify_trusts_no_straightener(monkeypatch, capsys):
+    # verify judges a certificate by the oracle, standardness and the term
+    # list alone; with every straightening entry point broken it still
+    # accepts a good certificate and refuses a tampered one.
+    def broken(*args, **kwargs):
+        raise AssertionError("verify called the straightener")
+
+    monkeypatch.setattr(cli, "normal_form", broken)
+    monkeypatch.setattr(standard, "_normalize", broken)
+    monkeypatch.setattr(straightening, "_straighten", broken)
+    monkeypatch.setattr(straightening, "straighten_pair", broken)
+    code, out, _ = run_cli(capsys, "verify", str(DATA / "verify_good.json"))
+    assert code == 0 and json.loads(out)["verified"] is True
+    code, out, _ = run_cli(capsys, "verify", str(DATA / "verify_coeff_changed.json"))
+    assert code == 2 and json.loads(out)["verified"] is False
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (("verify",), "[" * 100000 + "]" * 100000),
+    (("straighten", "[1|1]" * 1200), ""),
+], ids=["deeply nested certificate", "word of 1200 factors"])
+def test_over_deep_input_is_a_one_line_error(argv, stdin, monkeypatch, capsys):
+    # json.load and the normal-form recursion both exceed the recursion
+    # limit on these inputs.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_json_and_text_are_exclusive(capsys):
     code, out, err = run_cli(capsys, "straighten", "[1|1]", "--json", "--text")
     assert code == 1 and out == "" and "not allowed with" in err
@@ -191,6 +233,9 @@ def test_leading_command(capsys):
     code, out, _ = run_cli(capsys, "leading", "[1|1]", "--json")
     assert code == 0
     assert json.loads(out)["terms"][0]["witness"] == "y[1,1]*z[1,1]"
+
+    code, out, err = run_cli(capsys, "leading", "[1|1]", "--N", "0")
+    assert code == 1 and out == "" and "N=0" in err
 
 
 def test_usage_errors_exit_1(capsys):
