@@ -16,7 +16,7 @@ from straightlaw import (
     decode_leading,
     format_monomial,
     minor_leading_monomial,
-    monomial,
+    monomial_part,
     verify_independence,
     verify_relation_completeness,
     word_leading_witness,
@@ -32,7 +32,7 @@ for rows, cols in [([1], [2]), ([1, 2], [1, 2])]:
 word = (Minor([1, 2], [1, 2]), Minor([2], [2]))
 wit = word_leading_witness(word, spec)
 print(f"  witness of {''.join(map(str, word))}: {format_monomial(wit)}")
-ypart = monomial({v: e for v, e in wit if v[0] == 'y'})
+ypart = monomial_part(wit, 'y')
 print(f"  decoding the y-part recovers the row chain: "
       f"{[str(s) for s in decode_leading(ypart, 'rows')]}")
 

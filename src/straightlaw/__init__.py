@@ -23,8 +23,10 @@ from .polynomials import (
     MONOMIAL_ONE,
     Polynomial,
     compare_monomials,
+    exponents,
     format_monomial,
     monomial,
+    monomial_part,
     mul_monomials,
     variable_key,
     xvar,

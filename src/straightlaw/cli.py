@@ -243,6 +243,7 @@ def certificate_combination(cert) -> WordCombination:
             raise ValueError(f"certificate term {i} is not of the form "
                              '{"coeff": int, "factors": [{"rows": [...], "cols": [...]}, ...]}')
         claimed.append((word, coeff))
+    check_bounds((f for word, _ in claimed for f in word), dims["m"], dims["n"])
     return WordCombination(claimed)
 
 

@@ -16,7 +16,9 @@ from .polynomials import (
     MONOMIAL_ONE,
     Monomial,
     Polynomial,
+    exponents,
     monomial,
+    monomial_part,
     mul_monomials,
     xvar,
     yvar,
@@ -125,7 +127,7 @@ def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
     else:
         raise ValueError(f"kind must be 'rows' or 'cols', got {kind!r}")
     remaining: Counter = Counter()
-    for v, e in mono:
+    for v, e in exponents(mono).items():
         if v[0] != want:
             raise ValueError(f"expected only {want}-variables, found {v[0]}[{v[1]},{v[2]}]")
         remaining[(v[1], v[2])] = e
@@ -199,10 +201,7 @@ def integer_rank(rows: Iterable) -> int:
 
 def polynomial_rank(polys: Iterable[Polynomial]) -> int:
     """Exact rank of a family of polynomials as vectors of coefficients."""
-    rows = []
-    for p in polys:
-        rows.append({mono: coeff for mono, coeff in p.terms()})
-    return integer_rank(rows)
+    return integer_rank(p._terms for p in polys)
 
 
 def nonzero_minors(m: int, n: int) -> list[Minor]:
@@ -299,11 +298,9 @@ def verify_independence(m: int, n: int, max_factors: int, N: int | None = None,
             collisions.append((other, w))
         else:
             witness_of[wit] = w
-        ypart = monomial({v: e for v, e in wit if v[0] == "y"})
-        zpart = monomial({v: e for v, e in wit if v[0] == "z"})
         try:
-            rows_chain = decode_leading(ypart, "rows")
-            cols_chain = decode_leading(zpart, "cols")
+            rows_chain = decode_leading(monomial_part(wit, "y"), "rows")
+            cols_chain = decode_leading(monomial_part(wit, "z"), "cols")
         except ValueError:
             decode_ok = False
             continue

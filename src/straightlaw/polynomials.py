@@ -5,17 +5,24 @@ arguments."""
 
 from __future__ import annotations
 
-import functools
-from typing import Iterable, Mapping, Tuple
+from itertools import groupby
+from typing import Mapping, Tuple
 
 # A variable is a plain tuple: ('x', row, col), ('y', row, superscript) or
-# ('z', col, superscript). A monomial is a tuple of (variable, exponent)
-# pairs with positive exponents, sorted by descending variable (ascending
-# variable_key); the empty tuple is the monomial 1.
+# ('z', col, superscript). A monomial is a descending tuple of int variable
+# ids, each repeated once per unit of its exponent; () is the monomial 1. A
+# greater variable has a larger id, so tuple order is the block order. Ids stay
+# inside this module: read a monomial with exponents() and monomial_part().
 Variable = Tuple[str, int, int]
-Monomial = Tuple[Tuple[Variable, int], ...]
+Monomial = Tuple[int, ...]
 
 MONOMIAL_ONE: Monomial = ()
+
+# Width in bits of each of the four packed components of variable_key; an
+# index or superscript outside 0..2**VAR_ID_BITS - 1 raises ValueError.
+VAR_ID_BITS = 7
+_FIELD_MASK = (1 << VAR_ID_BITS) - 1
+_ID_TOP = (1 << 4 * VAR_ID_BITS) - 1
 
 
 def xvar(i: int, j: int) -> Variable:
@@ -52,58 +59,65 @@ def format_variable(v: Variable) -> str:
     return f"{v[0]}[{v[1]},{v[2]}]"
 
 
-def monomial(exponents: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) -> Monomial:
+def _variable_id(v: Variable) -> int:
+    """variable_key packed into four VAR_ID_BITS fields, taken from the top."""
+    packed = 0
+    for part in variable_key(v):
+        if not 0 <= part <= _FIELD_MASK:
+            raise ValueError(f"{format_variable(v)} has an index outside 0..{_FIELD_MASK}")
+        packed = packed << VAR_ID_BITS | part
+    return _ID_TOP - packed
+
+
+def _variable(vid: int) -> Variable:
+    """Inverse of _variable_id."""
+    packed = _ID_TOP - vid
+    first = packed >> 2 * VAR_ID_BITS & _FIELD_MASK
+    second = packed >> VAR_ID_BITS & _FIELD_MASK
+    index = packed & _FIELD_MASK
+    if packed >> 3 * VAR_ID_BITS:
+        return xvar(first, second)
+    return zvar(index, first) if second else yvar(index, first)
+
+
+def monomial(powers: Mapping[Variable, int]) -> Monomial:
     """Canonical monomial from a variable -> exponent mapping."""
-    items = exponents.items() if isinstance(exponents, Mapping) else exponents
-    kept = []
-    for v, e in items:
+    ids = []
+    for v, e in powers.items():
         if e < 0:
             raise ValueError(f"negative exponent {e} on {format_variable(v)}")
         if e:
-            kept.append((v, e))
-    kept.sort(key=lambda ve: variable_key(ve[0]))
-    return tuple(kept)
+            ids += [_variable_id(v)] * e
+    ids.sort(reverse=True)
+    return tuple(ids)
+
+
+def exponents(mono: Monomial) -> dict[Variable, int]:
+    """The variable -> exponent mapping of a monomial, greatest variable first."""
+    return {_variable(vid): len(list(run)) for vid, run in groupby(mono)}
+
+
+def monomial_part(mono: Monomial, kind: str) -> Monomial:
+    """The factor of a monomial in the variables of one kind: 'x', 'y' or 'z'."""
+    return tuple(vid for vid in mono if _variable(vid)[0] == kind)
 
 
 def mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for v, e in m2:
-        acc[v] = acc.get(v, 0) + e
-    return monomial(acc)
+    return tuple(sorted(m1 + m2, reverse=True))
 
 
-def compare_monomials(m1: Monomial, m2: Monomial, key=variable_key) -> int:
+def compare_monomials(m1: Monomial, m2: Monomial) -> int:
     """-1, 0 or +1: compare exponents variable by variable, from the greatest
-    variable downward; the first difference decides."""
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        k1, k2 = key(v1), key(v2)
-        if k1 < k2:  # m1 owns the greater variable
-            return 1
-        if k2 < k1:
-            return -1
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-        i += 1
-        j += 1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
+    variable downward; the first difference decides. On descending id tuples
+    this is plain tuple comparison."""
+    return (m1 > m2) - (m1 < m2)
 
 
 def format_monomial(m: Monomial) -> str:
     if not m:
         return "1"
     parts = []
-    for v, e in m:
+    for v, e in exponents(m).items():
         parts.append(format_variable(v) if e == 1 else f"{format_variable(v)}^{e}")
     return "*".join(parts)
 
@@ -223,12 +237,9 @@ class Polynomial(Combination):
             other = Polynomial.constant(other)
         return super().__eq__(other)
 
-    def terms(self) -> list[tuple[Monomial, int]]:
-        """(monomial, coefficient) pairs in ascending tuple order."""
-        return sorted(self._terms.items())
-
-    # items() and the printed form list the greatest monomial first.
-    _sort_key = staticmethod(functools.cmp_to_key(lambda a, b: compare_monomials(b, a)))
+    def items(self) -> list:
+        """(monomial, coefficient) pairs, the greatest monomial first."""
+        return sorted(self._terms.items(), reverse=True)
 
     def _format_term(self, mono: Monomial, mag: int) -> str:
         body = format_monomial(mono)
@@ -288,22 +299,18 @@ class Polynomial(Combination):
             e >>= 1
         return result
 
-    def leading_monomial(self, key=variable_key) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         """The greatest monomial present; raises on the zero polynomial."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        best = None
-        for mono in self._terms:
-            if best is None or compare_monomials(mono, best, key) > 0:
-                best = mono
-        return best
+        return max(self._terms)
 
     def evaluate(self, values: Mapping[Variable, int]) -> int:
         """Exact integer evaluation; every variable present must be assigned."""
         total = 0
         for mono, coeff in self._terms.items():
             term = coeff
-            for v, e in mono:
+            for v, e in exponents(mono).items():
                 if v not in values:
                     raise ValueError(f"no value supplied for {format_variable(v)}")
                 term *= values[v] ** e
@@ -316,7 +323,7 @@ class Polynomial(Combination):
         total = Polynomial.zero()
         for mono, coeff in self._terms.items():
             prod = Polynomial.constant(coeff)
-            for v, e in mono:
+            for v, e in exponents(mono).items():
                 img = images.get(v)
                 if img is None:
                     prod = prod * Polynomial.var(v, e)

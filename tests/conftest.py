@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from straightlaw import IndexSet, Minor, Polynomial, monomial, xvar
+from straightlaw import IndexSet, Minor, Polynomial, monomial, variable_key, xvar
 
 
 def inversion_sign(seq) -> int:
@@ -49,6 +49,31 @@ def masked_determinant(a: IndexSet, b: IndexSet, n: int) -> Polynomial:
             mono = monomial({xvar(i, perm[i - 1]): 1 for i in range(1, n + 1)})
             total[mono] = total.get(mono, 0) + inversion_sign(perm)
     return Polynomial(total)
+
+
+def reference_compare(a: dict, b: dict) -> int:
+    """Block order on variable -> exponent dicts, written out: -1, 0 or +1
+    from comparing exponents variable by variable, from the greatest variable
+    (the smallest variable_key) downward; the first difference decides."""
+    m1 = sorted(((v, e) for v, e in a.items() if e), key=lambda ve: variable_key(ve[0]))
+    m2 = sorted(((v, e) for v, e in b.items() if e), key=lambda ve: variable_key(ve[0]))
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        k1, k2 = variable_key(v1), variable_key(v2)
+        if k1 < k2:  # m1 owns the greater variable
+            return 1
+        if k2 < k1:
+            return -1
+        if e1 != e2:
+            return 1 if e1 > e2 else -1
+        i += 1
+        j += 1
+    if i < len(m1):
+        return 1
+    if j < len(m2):
+        return -1
+    return 0
 
 
 def fraction_rank(rows) -> int:

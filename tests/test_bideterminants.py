@@ -14,6 +14,7 @@ from straightlaw import (
     eval_on_permutation,
     expand_laplace,
     expand_minor,
+    exponents,
     laplace_expansion,
     relation_complementary,
     relation_family,
@@ -58,8 +59,8 @@ def test_expand_minor_matches_sympy():
     mat = sympy.Matrix([[sympy.Symbol(f"x_{i}_{j}") for j in cols] for i in rows])
     mine = expand_minor(Minor(rows, cols))
     converted = sum(
-        coeff * sympy.prod([sympy.Symbol(f"x_{v[1]}_{v[2]}") ** e for v, e in mono])
-        for mono, coeff in mine.terms()
+        coeff * sympy.prod([sympy.Symbol(f"x_{v[1]}_{v[2]}") ** e for v, e in exponents(mono).items()])
+        for mono, coeff in mine.items()
     )
     assert sympy.expand(mat.det() - converted) == 0
 

@@ -141,6 +141,9 @@ HOSTILE_CERTIFICATES = {
     "coeff not an int": {"terms": [{"coeff": "1", "factors": []}]},
     "rows not a list of indices": {"terms": [{"coeff": 1, "factors": [{"rows": "12", "cols": [1, 2]}]}]},
     "factor not an object": {"terms": [{"coeff": 1, "factors": [[1]]}]},
+    # Refused before the oracle expands the 40,320 Leibniz terms of an 8x8 minor.
+    "term beyond dims": {"input": "[1|1]", "dims": {"m": 1, "n": 1}, "terms": [
+        {"coeff": 1, "factors": [{"rows": list(range(1, 9)), "cols": list(range(1, 9))}]}]},
 }
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from straightlaw import (
     MONOMIAL_ONE,
     Polynomial,
     compare_monomials,
+    exponents,
     format_monomial,
     monomial,
     mul_monomials,
@@ -16,6 +18,9 @@ from straightlaw import (
     yvar,
     zvar,
 )
+from straightlaw.polynomials import VAR_ID_BITS
+
+from conftest import reference_compare
 
 y11, y21, z11, z21 = yvar(1, 1), yvar(2, 1), zvar(1, 1), zvar(2, 1)
 
@@ -35,6 +40,30 @@ def test_variable_order_blocks():
     keys = [variable_key(v) for v in chain]
     assert keys == sorted(keys)
     assert all(k1 != k2 for k1, k2 in itertools.combinations(keys, 2))
+
+
+# Largest index or superscript that fits a variable id.
+_BOUND = (1 << VAR_ID_BITS) - 1
+_index = st.integers(1, 3) | st.integers(_BOUND - 1, _BOUND)
+_var = st.sampled_from([xvar, yvar, zvar])
+_exponent_dicts = st.dictionaries(st.builds(lambda var, i, j: var(i, j), _var, _index, _index),
+                                  st.integers(0, 3), max_size=4)
+
+
+@given(st.lists(_exponent_dicts, min_size=1, max_size=4), _var, st.booleans())
+def test_id_order_matches_reference(dicts, var, past_row):
+    monos = {monomial(d): {v: e for v, e in d.items() if e} for d in dicts}
+    for (m1, d1), (m2, d2) in itertools.product(monos.items(), repeat=2):
+        assert compare_monomials(m1, m2) == reference_compare(d1, d2)
+    for mono, d in monos.items():
+        assert exponents(mono) == d
+    ordered = sorted(monos.values(), key=functools.cmp_to_key(reference_compare), reverse=True)
+    p = Polynomial({mono: 1 for mono in monos})
+    assert [monos[mono] for mono, _ in p.items()] == ordered
+    assert monos[p.leading_monomial()] == ordered[0]
+    past = var(_BOUND + 1, 1) if past_row else var(1, _BOUND + 1)
+    with pytest.raises(ValueError):
+        monomial({**dicts[0], past: 1})
 
 
 def test_add_examples():
@@ -78,7 +107,7 @@ def test_leading_monomial_multiplicative(f, g):
     # brute force: compare against every monomial of the expanded product
     prod = f * g
     assert prod.leading_monomial() == lead
-    for mono, _ in prod.terms():
+    for mono, _ in prod.items():
         assert compare_monomials(lead, mono) >= 0
 
 
@@ -165,6 +194,6 @@ def test_formatting():
 
 def test_terms_iteration_is_deterministic():
     p = Polynomial.var(y11) + 2 * Polynomial.var(z11) - Polynomial.var(y21)
-    assert p.terms() == p.terms()
-    q = Polynomial(dict(reversed(p.terms())))
-    assert q.terms() == p.terms()
+    assert p.items() == p.items()
+    q = Polynomial(dict(reversed(p.items())))
+    assert q.items() == p.items()
