@@ -6,7 +6,6 @@ factorization X = Y Z."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -126,7 +125,7 @@ def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
         want = "z"
     else:
         raise ValueError(f"kind must be 'rows' or 'cols', got {kind!r}")
-    remaining: Counter = Counter()
+    remaining: dict[tuple[int, int], int] = {}
     for v, e in exponents(mono).items():
         if v[0] != want:
             raise ValueError(f"expected only {want}-variables, found {v[0]}[{v[1]},{v[2]}]")
@@ -134,17 +133,23 @@ def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
 
     chain: list[IndexSet] = []
     while remaining:
-        depth = max(sup for _, sup in remaining)
-        elems = []
+        least: dict[int, int] = {}
+        for idx, sup in remaining:
+            if idx < least.get(sup, idx + 1):
+                least[sup] = idx
+        if min(least) < 1:
+            raise ValueError(f"superscript {min(least)} is below 1")
+        depth = max(least)
         for s in range(1, depth + 1):
-            candidates = [idx for (idx, sup) in remaining if sup == s]
-            if not candidates:
+            if s not in least:
                 raise ValueError(f"no variable with superscript {s} while {depth} is present")
-            elems.append(min(candidates))
+        elems = [least[s] for s in range(1, depth + 1)]
         if any(x >= y for x, y in zip(elems, elems[1:])):
             raise ValueError(f"peeled indices {elems} are not strictly increasing")
-        # Counter subtraction keeps only the exponents still positive.
-        remaining -= Counter((idx, s) for s, idx in enumerate(elems, start=1))
+        for key in zip(elems, range(1, depth + 1)):
+            remaining[key] -= 1
+            if not remaining[key]:
+                del remaining[key]
         chain.append(IndexSet(elems))
 
     for s, t in zip(chain, chain[1:]):
@@ -157,46 +162,37 @@ def integer_rank(rows: Iterable) -> int:
     """Exact rank of an integer matrix given as dense rows (sequences) or
     sparse rows (dicts keyed by column).
 
-    Fraction-free sparse elimination: rows are combined by integer
-    cross-multiplication so the pivot column cancels exactly, then divided by
-    their gcd. No floating point anywhere.
+    Fraction-free row-by-row reduction against a pivot table: each row's
+    lowest column is cancelled by integer cross-multiplication with the pivot
+    row owning that column, until that column has no pivot (the row becomes
+    one, divided by its content) or the row vanishes. Columns are numbered in
+    order of first sight. No floating point anywhere.
     """
-    pending: list[dict] = []
+    col_id: dict = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        if isinstance(row, dict):
-            r = {c: v for c, v in row.items() if v}
-        else:
-            r = {c: v for c, v in enumerate(row) if v}
-        if r:
-            pending.append(r)
-
-    rank = 0
-    while pending:
-        pivot_col = min(min(r) for r in pending)
-        with_col = [r for r in pending if pivot_col in r]
-        pending = [r for r in pending if pivot_col not in r]
-        pivot = min(with_col, key=lambda r: (abs(r[pivot_col]), len(r)))
-        a = pivot[pivot_col]
-        for r in with_col:
-            if r is pivot:
-                continue
-            b = r[pivot_col]
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {col_id.setdefault(c, len(col_id)): v for c, v in items if v}
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = math.gcd(*r.values())
+                pivots[lead] = {c: v // g for c, v in r.items()}
+                break
+            a, b = pivot[lead], r[lead]
             g = math.gcd(a, b)
             fa, fb = a // g, b // g
-            combined = {c: fa * v for c, v in r.items()}
+            if fa != 1:
+                for c in r:
+                    r[c] *= fa
             for c, v in pivot.items():
-                w = combined.get(c, 0) - fb * v
+                w = r.get(c, 0) - fb * v
                 if w:
-                    combined[c] = w
-                elif c in combined:
-                    del combined[c]
-            if combined:
-                g2 = math.gcd(*combined.values()) if len(combined) > 1 else abs(next(iter(combined.values())))
-                if g2 > 1:
-                    combined = {c: v // g2 for c, v in combined.items()}
-                pending.append(combined)
-        rank += 1
-    return rank
+                    r[c] = w
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 def polynomial_rank(polys: Iterable[Polynomial]) -> int:
@@ -218,17 +214,15 @@ def standard_words(m: int, n: int, max_factors: int) -> list[MinorWord]:
     """All standard monomials with 1..max_factors non-unit factors on an
     m x n matrix, enumerated by chain extension."""
     minors = nonzero_minors(m, n)
+    successors = {
+        f: [g for g in minors if leq_pair((f.rows, f.cols), (g.rows, g.cols))]
+        for f in minors
+    }
     out: list[MinorWord] = []
     frontier: list[MinorWord] = [(f,) for f in minors]
     for _ in range(max_factors):
         out.extend(frontier)
-        nxt = []
-        for word in frontier:
-            last = word[-1]
-            for g in minors:
-                if leq_pair((last.rows, last.cols), (g.rows, g.cols)):
-                    nxt.append(word + (g,))
-        frontier = nxt
+        frontier = [word + (g,) for word in frontier for g in successors[word[-1]]]
         if not frontier:
             break
     return out

@@ -1,7 +1,10 @@
+import copy
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from straightlaw import (
     EMPTY,
@@ -95,6 +98,8 @@ def test_decode_examples():
         decode_leading(monomial({yvar(1, 1): 1}), "cols")  # wrong variable kind
     with pytest.raises(ValueError):
         decode_leading(m, "sideways")
+    with pytest.raises(ValueError, match="superscript 0 is below 1"):
+        decode_leading(monomial({yvar(1, 0): 1, yvar(2, 1): 1}), "rows")
 
 
 def test_decode_round_trip_on_all_chains():
@@ -127,6 +132,62 @@ def test_integer_rank_matches_fraction_elimination():
         cols = rng.randrange(1, 6)
         mat = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
         assert integer_rank(mat) == fraction_rank(mat), mat
+
+
+_ENTRY = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def rank_matrices(draw):
+    """Rows in one of three layouts (dense, int keys, tuple keys), with zero
+    entries, zero rows, duplicate rows and integer combinations of rows."""
+    ncols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), _ENTRY, max_size=ncols),
+                         max_size=5))
+    rows = list(base)
+    for coeffs in draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(base),
+                                         max_size=len(base)), max_size=3)):
+        combo: dict = {}
+        for k, row in zip(coeffs, base):
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + k * v
+        rows.append(combo)
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    rows += [{}] * draw(st.integers(0, 1))
+    rows = draw(st.permutations(rows))
+    layout = draw(st.sampled_from(["dense", "int", "tuple"]))
+    if layout == "dense":
+        return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    if layout == "int":
+        return [{7 * c + 3: v for c, v in row.items()} for row in rows]
+    return [{("col", c % 2, c): v for c, v in row.items()} for row in rows]
+
+
+@given(rank_matrices())
+@settings(deadline=None)
+def test_integer_rank_matches_fraction_rank(rows):
+    assert integer_rank(rows) == fraction_rank(rows)
+
+
+def test_integer_rank_leaves_rows_unchanged():
+    rows = [{0: 6, 1: 4, 2: -2}, {0: 3, 1: 2, 2: 5}, {0: 9, 2: 0}, {1: 1, 2: 1}]
+    before = copy.deepcopy(rows)
+    assert integer_rank(rows) == 3
+    assert rows == before
+
+
+def test_integer_rank_reads_a_one_shot_generator():
+    rows = [[2, 4, 6], [1, 2, 3], [0, 1, 1], [1, 3, 4]]
+    assert integer_rank(row for row in rows) == fraction_rank(rows) == 2
+    assert integer_rank({("m", c): v for c, v in enumerate(row)} for row in rows) == 2
+
+
+def test_standard_words_match_filtered_products():
+    minors = nonzero_minors(2, 3)
+    expected = [w for k in range(1, 4) for w in itertools.product(minors, repeat=k)
+                if is_standard(w)]
+    assert standard_words(2, 3, 3) == expected
 
 
 def test_standard_word_enumeration_counts():
