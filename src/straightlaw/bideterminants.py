@@ -6,14 +6,16 @@ relation families the straightening algorithms consume."""
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Tuple
 
 from .indexsets import (
     EMPTY,
     IndexSet,
-    MAX_GROUND,
+    check_ground,
     complement,
+    from_mask,
     laplace_sign,
     parity_sign,
     permutation_sign,
@@ -25,8 +27,8 @@ from .polynomials import Combination, Polynomial, monomial, xvar
 
 # Ground bound for the permutation criterion (n! enumeration).
 SIGMA_CHECK_MAX_GROUND = 8
-# Matching-permutation lists are cached up to this ground size; beyond it
-# they are streamed to keep memory flat.
+# Matching-permutation rank lists are cached up to this ground size; beyond
+# it they are rebuilt for every term to keep memory flat.
 _SIGMA_CACHE_MAX_GROUND = 6
 
 
@@ -42,7 +44,7 @@ class Minor:
     def __init__(self, rows, cols):
         self.rows = rows if isinstance(rows, IndexSet) else IndexSet(rows)
         self.cols = cols if isinstance(cols, IndexSet) else IndexSet(cols)
-        self._hash = hash((self.rows.elements, self.cols.elements))
+        self._hash = hash((self.rows, self.cols))
 
     @property
     def is_zero(self) -> bool:
@@ -97,13 +99,7 @@ class LaplaceProduct:
     __slots__ = ("rows", "cols", "ground")
 
     def __init__(self, rows, cols, ground: int):
-        if not isinstance(ground, int) or ground < 0 or ground > MAX_GROUND:
-            raise ValueError(f"ground size must be an integer in 0..{MAX_GROUND}, got {ground!r}")
-        self.rows = rows if isinstance(rows, IndexSet) else IndexSet(rows)
-        self.cols = cols if isinstance(cols, IndexSet) else IndexSet(cols)
-        for s in (self.rows, self.cols):
-            if s.elements and s.elements[-1] > ground:
-                raise ValueError(f"element {s.elements[-1]} exceeds ground size {ground}")
+        self.rows, self.cols = check_ground(ground, rows, cols)
         self.ground = ground
 
     @property
@@ -230,24 +226,20 @@ class LaplaceCombination(Combination):
     """Integer linear combination of Laplace products over one ground size.
 
     Keys are (row set, column set) pairs; size-mismatched pairs denote zero
-    and are never stored, nor are zero coefficients.
+    and are never stored, nor are zero coefficients. With trusted=True the
+    keys are taken as they are: size-matched IndexSet pairs inside the
+    ground, as the relation builders and straighten_laplace emit them.
     """
 
     __slots__ = ("ground",)
 
-    def __init__(self, ground: int, terms=()):
-        if not isinstance(ground, int) or ground < 0 or ground > MAX_GROUND:
-            raise ValueError(f"ground size must be an integer in 0..{MAX_GROUND}, got {ground!r}")
+    def __init__(self, ground: int, terms=(), *, trusted: bool = False):
+        check_ground(ground)
         self.ground = ground
-        super().__init__(terms)
+        super().__init__(terms, trusted=trusted)
 
     def _canonical(self, key):
-        a, b = key
-        a = a if isinstance(a, IndexSet) else IndexSet(a)
-        b = b if isinstance(b, IndexSet) else IndexSet(b)
-        for s in (a, b):
-            if s.elements and s.elements[-1] > self.ground:
-                raise ValueError(f"element {s.elements[-1]} exceeds ground size {self.ground}")
+        a, b = check_ground(self.ground, *key)
         return (a, b) if len(a) == len(b) else None
 
     @staticmethod
@@ -271,32 +263,38 @@ class LaplaceCombination(Combination):
         return f"LaplaceCombination(n={self.ground}, {self})"
 
 
-def _matching_perms_stream(rows: IndexSet, cols: IndexSet, n: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _perm_ranks(n: int) -> dict[int, int]:
+    """Lexicographic rank of each permutation sigma of {1..n}, keyed by its
+    code sum((sigma(i) - 1) * n**(i - 1)); the code of a permutation is the
+    sum of the codes of its restrictions to a set of positions and to the
+    complementary positions."""
+    return {
+        sum(v * n ** i for i, v in enumerate(perm)): rank
+        for rank, perm in enumerate(itertools.permutations(range(n)))
+    }
+
+
+def _restriction_codes(rows: IndexSet, cols: IndexSet, n: int) -> list[int]:
+    """Codes of all bijections from the positions rows onto the values cols."""
+    weights = [n ** (r - 1) for r in rows.elements]
+    return [sum(w * (c - 1) for w, c in zip(weights, perm))
+            for perm in itertools.permutations(cols.elements)]
+
+
+def matching_ranks(rows: IndexSet, cols: IndexSet, n: int) -> list[int]:
+    """Lexicographic ranks of all permutations of {1..n} mapping the row set
+    onto the column set."""
     if len(rows) != len(cols):
-        return
-    rows_c = complement(rows, n)
-    cols_c = complement(cols, n)
-    base = [0] * n
-    for p1 in itertools.permutations(cols.elements):
-        for r, c in zip(rows.elements, p1):
-            base[r - 1] = c
-        for p2 in itertools.permutations(cols_c.elements):
-            img = list(base)
-            for r, c in zip(rows_c.elements, p2):
-                img[r - 1] = c
-            yield tuple(img)
+        return []
+    rank = _perm_ranks(n)
+    outer = _restriction_codes(complement(rows, n), complement(cols, n), n)
+    return [rank[x + y] for x in _restriction_codes(rows, cols, n) for y in outer]
 
 
 @lru_cache(maxsize=None)
-def _matching_perms_cached(rows: IndexSet, cols: IndexSet, n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_matching_perms_stream(rows, cols, n))
-
-
-def matching_permutations(rows: IndexSet, cols: IndexSet, n: int):
-    """All permutations of {1..n} mapping the row set onto the column set."""
-    if n <= _SIGMA_CACHE_MAX_GROUND:
-        return _matching_perms_cached(rows, cols, n)
-    return _matching_perms_stream(rows, cols, n)
+def _matching_perms_cached(rows: IndexSet, cols: IndexSet, n: int) -> tuple[int, ...]:
+    return tuple(matching_ranks(rows, cols, n))
 
 
 def check_relation(rel: LaplaceCombination) -> bool:
@@ -304,19 +302,21 @@ def check_relation(rel: LaplaceCombination) -> bool:
     every permutation sigma the coefficients of the terms whose row set maps
     onto their column set sum to zero.
 
-    Every sigma in S_n is covered: sigmas matched by no term have an empty
-    sum. Refuses ground sizes above SIGMA_CHECK_MAX_GROUND (n! blow-up guard).
+    Every sigma in S_n is covered, by its lexicographic rank in a list of n!
+    sums: sigmas matched by no term keep an empty sum. Refuses ground sizes
+    above SIGMA_CHECK_MAX_GROUND (n! blow-up guard).
     """
     n = rel.ground
     if n > SIGMA_CHECK_MAX_GROUND:
         raise ValueError(
             f"permutation criterion refused for ground size {n} > {SIGMA_CHECK_MAX_GROUND}"
         )
-    totals: dict[tuple[int, ...], int] = {}
+    ranks_of = _matching_perms_cached if n <= _SIGMA_CACHE_MAX_GROUND else matching_ranks
+    totals = [0] * math.factorial(n)
     for (a, b), coeff in rel._terms.items():
-        for sig in matching_permutations(a, b, n):
-            totals[sig] = totals.get(sig, 0) + coeff
-    return not any(totals.values())
+        for r in ranks_of(a, b, n):
+            totals[r] += coeff
+    return not any(totals)
 
 
 def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
@@ -326,37 +326,40 @@ def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination
     Only size-matched terms are materialized; the result always expands to
     the zero polynomial.
     """
+    a, b = check_ground(n, a, b)
     return LaplaceCombination(n, itertools.chain(
         (((a, v), 1) for v in subsets(b, size=len(a))),
         (((u, b), -1) for u in supersets(a, n, size=len(b))),
-    ))
+    ), trusted=True)
 
 
 def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) -> LaplaceCombination:
     """Signed refinement of the fundamental relation by a pinned subset c of
     b: column sets range over c <= v <= b on one side, while the other side
     alternates over subsets w of c removed from b."""
-    if not c.issubset(b):
+    a, b, c = check_ground(n, a, b, c)
+    if c & ~b:
         raise ValueError(f"{c} is not contained in {b}")
     terms = [((a, v), 1) for v in subsets_between(c, b, size=len(a))]
     for w in subsets(c):
         sign = parity_sign(len(w))
-        bw = b.difference(w)
+        bw = from_mask(b & ~w)
         terms += (((u, bw), -sign) for u in supersets(a, n, size=len(bw)))
-    return LaplaceCombination(n, terms)
+    return LaplaceCombination(n, terms, trusted=True)
 
 
 def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
     """Superset-against-complement form: alternating sum over supersets
     (u, w) of (a, b) minus the sum over column subsets v of b taken against
     the complement of v."""
+    a, b = check_ground(n, a, b)
     terms = [
         ((u, w), parity_sign(n - len(w)))
         for w in supersets(b, n)
         for u in supersets(a, n, size=len(w))
     ]
     terms += (((a, complement(v, n)), -1) for v in subsets(b) if n - len(v) == len(a))
-    return LaplaceCombination(n, terms)
+    return LaplaceCombination(n, terms, trusted=True)
 
 
 def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCombination:
@@ -364,9 +367,10 @@ def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCom
     a fixed column set (side="cols") or a fixed row set (side="rows")."""
     if side not in ("rows", "cols"):
         raise ValueError(f"side must be 'rows' or 'cols', got {side!r}")
+    (fixed,) = check_ground(n, fixed)
     terms = [((EMPTY, EMPTY), 1)]
     terms += (((s, fixed) if side == "cols" else (fixed, s), -1) for s in subsets(n, size=len(fixed)))
-    return LaplaceCombination(n, terms)
+    return LaplaceCombination(n, terms, trusted=True)
 
 
 RELATION_FAMILIES = ("theorem1", "cor1", "cor2", "laplace")

@@ -7,15 +7,20 @@ order."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from .indexsets import (
     IndexSet,
+    check_ground,
     complement,
     is_good,
     leq,
     leq_pair,
     lt,
     parity_sign,
+    subsets,
 )
 from .bideterminants import (
     LaplaceCombination,
@@ -25,7 +30,6 @@ from .bideterminants import (
     relation_complementary,
     relation_inclusion_exclusion,
 )
-from .polynomials import nonzero
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,24 @@ def merge_map(u1: IndexSet, u2: IndexSet) -> MergeMap:
     return MergeMap(len(tagged), values, first, second)
 
 
-# Straightening results, keyed by (rows, cols, ground). The poset of pairs is
-# finite, so the cache is bounded; same key always maps to the same tuple.
+class _GoodPairs(NamedTuple):
+    pairs: list  # the size-matched good pairs, in LaplaceCombination.items() order
+    position: dict  # pair -> its index in pairs
+    transposed: list  # index of (u, w) -> index of (w, u)
+
+
+@lru_cache(maxsize=None)
+def _good_pairs(n: int) -> _GoodPairs:
+    good = sorted((s for s in subsets(n) if is_good(s, n)), key=lambda s: s.elements)
+    pairs = [(u, w) for u in good for w in good if len(u) == len(w)]
+    position = {pair: p for p, pair in enumerate(pairs)}
+    return _GoodPairs(pairs, position, [position[(w, u)] for u, w in pairs])
+
+
+# Straightening results, keyed by (rows, cols, ground): tuples of
+# (index in _good_pairs(ground).pairs, coefficient), by increasing index.
+# The poset of pairs is finite, so the cache is bounded; same key always maps
+# to the same tuple.
 _STRAIGHTEN_CACHE: dict[tuple[IndexSet, IndexSet, int], tuple] = {}
 
 
@@ -80,28 +100,21 @@ def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
     A size-mismatched pair denotes zero and yields the empty combination.
     The expansion of the output equals the expansion of the input exactly.
     """
-    a = a if isinstance(a, IndexSet) else IndexSet(a)
-    b = b if isinstance(b, IndexSet) else IndexSet(b)
-    for s in (a, b):
-        if s.elements and s.elements[-1] > n:
-            raise ValueError(f"element {s.elements[-1]} exceeds ground size {n}")
+    a, b = check_ground(n, a, b)
     if len(a) != len(b):
         return LaplaceCombination(n)
-    return LaplaceCombination(n, _straighten(a, b, n))
+    pairs = _good_pairs(n).pairs
+    return LaplaceCombination(n, ((pairs[p], c) for p, c in _straighten(a, b, n)), trusted=True)
 
 
-def _sorted_pairs(acc: dict) -> tuple:
-    return tuple(sorted(nonzero(acc).items(), key=lambda kv: (kv[0][0].elements, kv[0][1].elements)))
-
-
-def _straighten(a: IndexSet, b: IndexSet, n: int):
+def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple:
     key = (a, b, n)
     hit = _STRAIGHTEN_CACHE.get(key)
     if hit is not None:
         return hit
 
     if is_good(a, n) and is_good(b, n):
-        result = (((a, b), 1),)
+        result = ((_good_pairs(n).position[(a, b)], 1),)
     elif 2 * len(a) < n:
         # Small pairs: the alternating superset relation contains the target
         # once, and every other stored term is strictly below in both
@@ -127,7 +140,8 @@ def _straighten(a: IndexSet, b: IndexSet, n: int):
         # Only the row set is bad: straighten the transposed product and swap
         # the coordinates back (a Laplace product is symmetric under
         # transposition together with swapping its index sets).
-        result = _sorted_pairs({(w, u): coeff for (u, w), coeff in _straighten(b, a, n)})
+        transposed = _good_pairs(n).transposed
+        result = tuple(sorted((transposed[p], coeff) for p, coeff in _straighten(b, a, n)))
 
     _STRAIGHTEN_CACHE[key] = result
     return result
@@ -136,14 +150,16 @@ def _straighten(a: IndexSet, b: IndexSet, n: int):
 def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
                require_row_drop: bool):
     """Solve a vanishing combination for its (a, b) term and recurse on the
-    remaining terms, which must sit strictly lower in the order."""
+    remaining terms, which must sit strictly lower in the order. The sums
+    are kept in one slot per good pair, so they come out in canonical
+    order."""
     eps = rel.coefficient(a, b)
     if eps not in (1, -1):
         raise RuntimeError(
             f"target {a}|{b} does not appear with unit coefficient in {rel}; this is a bug"
         )
-    acc: dict[tuple[IndexSet, IndexSet], int] = {}
-    for (u, w), coeff in rel.items():
+    acc = [0] * len(_good_pairs(n).pairs)
+    for (u, w), coeff in rel._terms.items():
         if u == a and w == b:
             continue
         # Strict decrease in the pair order at every recursion edge is what
@@ -151,9 +167,9 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
         if not ((lt(u, a) if require_row_drop else leq(u, a)) and lt(w, b)):
             raise RuntimeError(f"no strict drop from {a}|{b} to {u}|{w}; this is a bug")
         scale = -eps * coeff
-        for pair, inner in _straighten(u, w, n):
-            acc[pair] = acc.get(pair, 0) + scale * inner
-    return _sorted_pairs(acc)
+        for p, inner in _straighten(u, w, n):
+            acc[p] += scale * inner
+    return tuple(filter(itemgetter(1), enumerate(acc)))
 
 
 def straighten_pair(first: Minor, second: Minor,

@@ -6,7 +6,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from straightlaw import IndexSet, Minor, Polynomial, monomial, variable_key, xvar
+from straightlaw import (
+    IndexSet,
+    LaplaceProduct,
+    Minor,
+    Polynomial,
+    eval_on_permutation,
+    monomial,
+    variable_key,
+    xvar,
+)
 
 
 def inversion_sign(seq) -> int:
@@ -121,3 +130,29 @@ def size_matched_minors(m: int, n: int, include_unit: bool = True):
             for b in itertools.combinations(range(1, n + 1), k):
                 out.append(Minor(IndexSet(a), IndexSet(b)))
     return out
+
+
+def tuple_complement(s: tuple, n: int) -> tuple:
+    """{1..n} minus s, on sorted tuples."""
+    return tuple(i for i in range(1, n + 1) if i not in s)
+
+
+def tuple_leq(s: tuple, t: tuple) -> bool:
+    """The dominance order on sorted tuples, from its definition: |s| >= |t|
+    and the v-th smallest element of s is at most the v-th of t."""
+    return len(s) >= len(t) and all(s[v] <= t[v] for v in range(len(t)))
+
+
+def tuple_is_good(s: tuple, n: int) -> bool:
+    return tuple_leq(s, tuple_complement(s, n))
+
+
+def sigma_reference(rel) -> bool:
+    """The permutation criterion written out: for every sigma in S_n, the sum
+    of coeff * eval_on_permutation over the terms of rel is zero."""
+    n = rel.ground
+    products = [(LaplaceProduct(a, b, n), c) for (a, b), c in rel.items()]
+    return all(
+        sum(c * eval_on_permutation(lp, sigma) for lp, c in products) == 0
+        for sigma in itertools.permutations(range(1, n + 1))
+    )

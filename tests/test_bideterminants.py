@@ -10,6 +10,7 @@ from straightlaw import (
     LaplaceProduct,
     Minor,
     Polynomial,
+    RELATION_FAMILIES,
     check_relation,
     eval_on_permutation,
     expand_laplace,
@@ -23,7 +24,7 @@ from straightlaw import (
     xvar,
 )
 
-from conftest import all_subsets, masked_determinant, cofactor_expand
+from conftest import all_subsets, masked_determinant, cofactor_expand, sigma_reference
 
 
 def _perms(n):
@@ -158,6 +159,58 @@ def test_check_relation_iff_zero_polynomial():
             mixed = LaplaceCombination(n, acc)
             assert check_relation(mixed)
             assert mixed.expand() == 0
+
+
+def _perturbed(rel, pos, delta=1):
+    return LaplaceCombination(rel.ground, [
+        (key, c + delta if i == pos else c) for i, (key, c) in enumerate(rel.items())
+    ])
+
+
+def test_check_relation_matches_summed_evaluations():
+    # Every family instance at n <= 4 passes both the permutation criterion
+    # and the reference that sums eval_on_permutation over all of S_n; adding
+    # 1 to one coefficient (every coefficient for n <= 3, one seeded pick at
+    # n = 4) must be refused by both.
+    rng = random.Random(11)
+    for n in range(1, 5):
+        for family in RELATION_FAMILIES:
+            for label, rel in relation_family(n, family):
+                assert check_relation(rel) and sigma_reference(rel), (n, family, label)
+                if not rel:
+                    continue
+                picks = range(len(rel)) if n <= 3 else [rng.randrange(len(rel))]
+                for pos in picks:
+                    changed = _perturbed(rel, pos)
+                    assert not check_relation(changed), (n, family, label, pos)
+                    assert not sigma_reference(changed), (n, family, label, pos)
+
+
+def test_check_relation_separates_every_two_products():
+    # p - q for two Laplace products: the criterion must agree with the
+    # summed evaluations for every pair of pairs at n <= 3 and a seeded
+    # sample at n = 4, so no two permutations may share a sum slot.
+    rng = random.Random(12)
+    for n in range(1, 5):
+        pairs = [(a, b) for a in all_subsets(n) for b in all_subsets(n) if len(a) == len(b)]
+        combos = [(p, q) for p in pairs for q in pairs]
+        if n == 4:
+            combos = rng.sample(combos, 400)
+        for p, q in combos:
+            rel = LaplaceCombination(n, {p: 1, q: -1} if p != q else {})
+            assert check_relation(rel) == sigma_reference(rel), (p, q)
+
+
+def test_check_relation_above_the_cached_grounds():
+    # Ground sizes 7 and 8 rebuild their permutation ranks for every term.
+    rel7 = laplace_expansion(IndexSet([2]), 7)
+    assert check_relation(rel7) and sigma_reference(rel7)
+    assert not check_relation(_perturbed(rel7, 3)) and not sigma_reference(_perturbed(rel7, 3))
+    rel8 = laplace_expansion(IndexSet([1, 8]), 8, side="rows")
+    assert check_relation(rel8)
+    assert not check_relation(_perturbed(rel8, 0, -2))
+    with pytest.raises(ValueError, match="refused for ground size 9 > 8"):
+        check_relation(LaplaceCombination(9, {(IndexSet([1]), IndexSet([1])): 1}))
 
 
 def test_relation_fundamental_examples():

@@ -1,24 +1,30 @@
 import itertools
+import pickle
 
 import pytest
 
 from straightlaw import (
     EMPTY,
     IndexSet,
+    LaplaceCombination,
+    LaplaceProduct,
     complement,
     is_good,
+    laplace_expansion,
     laplace_sign,
     leq,
     leq_prefix,
     lt,
     multiset_content,
     perm_sign_front,
+    relation_fundamental,
+    straighten_laplace,
     subsets,
     subsets_between,
     supersets,
 )
 
-from conftest import all_subsets, inversion_sign
+from conftest import all_subsets, inversion_sign, tuple_complement, tuple_is_good, tuple_leq
 
 
 def test_construction_sorts_and_validates():
@@ -135,3 +141,104 @@ def test_subset_enumeration_helpers():
     assert len(between) == 4
     with pytest.raises(ValueError):
         list(subsets_between(IndexSet([4]), IndexSet([1, 2])))
+
+
+def _tuples(n):
+    return [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+
+
+def test_order_complement_and_goodness_match_tuple_reference():
+    # Exhaustive for n <= 8: the mask-based operations against the same
+    # definitions written on sorted tuples.
+    for n in range(0, 9):
+        tuples = _tuples(n)
+        sets = {t: IndexSet(t) for t in tuples}
+        for t in tuples:
+            s = sets[t]
+            assert complement(s, n).elements == tuple_complement(t, n), (t, n)
+            assert is_good(s, n) == tuple_is_good(t, n), (t, n)
+            for u in tuples:
+                assert leq(s, sets[u]) == tuple_leq(t, u), (t, u)
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([0], "index must be a positive integer, got 0"),
+    ([-2, 3], "index must be a positive integer, got -2"),
+    ([True], "index must be a positive integer, got True"),
+    ([1.5], "index must be a positive integer, got 1.5"),
+    (["a"], "index must be a positive integer, got 'a'"),
+    ([IndexSet([1])], "index must be a positive integer, got IndexSet(1)"),
+    ([65], "index 65 exceeds the supported bound 64"),
+    ([1, 1], "duplicate index 1"),
+    ([4, 2, 4, 2], "duplicate index 2"),
+    ([2, 70, 2], "index 70 exceeds the supported bound 64"),
+    ([3, 0, 0], "index must be a positive integer, got 0"),
+])
+def test_construction_error_messages(elements, message):
+    with pytest.raises(ValueError) as excinfo:
+        IndexSet(elements)
+    assert str(excinfo.value) == message
+
+
+def test_an_int_is_not_read_as_a_mask():
+    with pytest.raises(TypeError):
+        IndexSet(5)
+    assert str(IndexSet([3, 1])) == "{1,3}" and f"{IndexSet([3, 1])}" == "{1,3}"
+    assert repr(IndexSet([3, 1])) == "IndexSet(1, 3)"
+    assert len(IndexSet([1, 5, 64])) == 3 and list(IndexSet([5, 1])) == [1, 5]
+
+
+def test_one_instance_per_set():
+    assert IndexSet([2, 1]) is IndexSet((1, 2)) is complement(IndexSet([3]), 3)
+    assert pickle.loads(pickle.dumps(IndexSet([4, 1]))) is IndexSet([1, 4])
+
+
+def test_ground_error_messages():
+    checks = [
+        (lambda: complement(IndexSet([5]), 4), "element 5 exceeds ground bound 4"),
+        (lambda: perm_sign_front(IndexSet([5]), 4), "element 5 exceeds ground bound 4"),
+        (lambda: complement(EMPTY, 65), "index 65 exceeds the supported bound 64"),
+        (lambda: list(subsets(66)), "index 65 exceeds the supported bound 64"),
+        (lambda: LaplaceProduct([5], [1], 4), "element 5 exceeds ground size 4"),
+        (lambda: LaplaceProduct([1], [1], 65), "ground size must be an integer in 0..64, got 65"),
+        (lambda: LaplaceCombination(-1), "ground size must be an integer in 0..64, got -1"),
+        (lambda: LaplaceCombination(2.0), "ground size must be an integer in 0..64, got 2.0"),
+        (lambda: LaplaceCombination(4, {((1,), (6,)): 1}), "element 6 exceeds ground size 4"),
+        (lambda: straighten_laplace([1], [7], 4), "element 7 exceeds ground size 4"),
+        (lambda: relation_fundamental(EMPTY, IndexSet([5]), 4), "element 5 exceeds ground size 4"),
+        (lambda: laplace_expansion(IndexSet([5]), 4), "element 5 exceeds ground size 4"),
+    ]
+    for call, message in checks:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
+def test_subsets_of_an_index_set_are_its_subsets():
+    # An IndexSet is an int too; subsets() must not read it as a ground size.
+    assert [s.elements for s in subsets(IndexSet([2, 3]))] == [(), (2,), (3,), (2, 3)]
+    assert [s.elements for s in subsets(IndexSet([2, 3]), size=1)] == [(2,), (3,)]
+
+
+def test_enumeration_keeps_combinations_order():
+    # Within each size, itertools.combinations order of the free elements
+    # (not colex order: for n=4, size 2, {1,4} comes before {2,3}).
+    assert [s.elements for s in subsets(4, size=2)].index((1, 4)) == 2
+    for n in range(0, 7):
+        assert [s.elements for s in subsets(n)] == _tuples(n)
+        for t in _tuples(n):
+            free = tuple_complement(t, n)
+            want = [tuple(sorted(t + extra)) for r in range(len(free) + 1)
+                    for extra in itertools.combinations(free, r)]
+            assert [s.elements for s in supersets(IndexSet(t), n)] == want
+            for size in range(len(t), n + 1):
+                assert [s.elements for s in supersets(IndexSet(t), n, size=size)] == [
+                    w for w in want if len(w) == size
+                ]
+            upper = IndexSet(t)
+            lower = IndexSet(t[::2])
+            inner = [e for e in t if e not in lower]
+            assert [s.elements for s in subsets_between(lower, upper)] == [
+                tuple(sorted(lower.elements + extra))
+                for r in range(len(inner) + 1) for extra in itertools.combinations(inner, r)
+            ]
