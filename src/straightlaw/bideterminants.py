@@ -23,7 +23,7 @@ from .indexsets import (
     subsets_between,
     supersets,
 )
-from .polynomials import Combination, Polynomial, monomial, xvar
+from .polynomials import Combination, Polynomial, monomial, nonzero, xvar
 
 # Ground bound for the permutation criterion (n! enumeration).
 SIGMA_CHECK_MAX_GROUND = 8
@@ -226,17 +226,28 @@ class LaplaceCombination(Combination):
     """Integer linear combination of Laplace products over one ground size.
 
     Keys are (row set, column set) pairs; size-mismatched pairs denote zero
-    and are never stored, nor are zero coefficients. With trusted=True the
-    keys are taken as they are: size-matched IndexSet pairs inside the
-    ground, as the relation builders and straighten_laplace emit them.
+    and are never stored, nor are zero coefficients.
     """
 
     __slots__ = ("ground",)
 
-    def __init__(self, ground: int, terms=(), *, trusted: bool = False):
+    def __init__(self, ground: int, terms=()):
         check_ground(ground)
         self.ground = ground
-        super().__init__(terms, trusted=trusted)
+        super().__init__(terms)
+
+    @classmethod
+    def _from_canonical(cls, ground: int, terms: Iterable) -> "LaplaceCombination":
+        """A combination from (key, coeff) pairs whose keys are already
+        canonical: size-matched IndexSet pairs inside a checked ground, as
+        the relation builders and straighten_laplace emit them."""
+        acc: dict = {}
+        for key, coeff in terms:
+            acc[key] = acc.get(key, 0) + coeff
+        out = cls.__new__(cls)
+        out.ground = ground
+        out._terms = nonzero(acc)
+        return out
 
     def _canonical(self, key):
         a, b = check_ground(self.ground, *key)
@@ -327,10 +338,10 @@ def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination
     the zero polynomial.
     """
     a, b = check_ground(n, a, b)
-    return LaplaceCombination(n, itertools.chain(
+    return LaplaceCombination._from_canonical(n, itertools.chain(
         (((a, v), 1) for v in subsets(b, size=len(a))),
         (((u, b), -1) for u in supersets(a, n, size=len(b))),
-    ), trusted=True)
+    ))
 
 
 def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) -> LaplaceCombination:
@@ -345,7 +356,7 @@ def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) 
         sign = parity_sign(len(w))
         bw = from_mask(b & ~w)
         terms += (((u, bw), -sign) for u in supersets(a, n, size=len(bw)))
-    return LaplaceCombination(n, terms, trusted=True)
+    return LaplaceCombination._from_canonical(n, terms)
 
 
 def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
@@ -359,7 +370,7 @@ def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombinati
         for u in supersets(a, n, size=len(w))
     ]
     terms += (((a, complement(v, n)), -1) for v in subsets(b) if n - len(v) == len(a))
-    return LaplaceCombination(n, terms, trusted=True)
+    return LaplaceCombination._from_canonical(n, terms)
 
 
 def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCombination:
@@ -370,7 +381,7 @@ def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCom
     (fixed,) = check_ground(n, fixed)
     terms = [((EMPTY, EMPTY), 1)]
     terms += (((s, fixed) if side == "cols" else (fixed, s), -1) for s in subsets(n, size=len(fixed)))
-    return LaplaceCombination(n, terms, trusted=True)
+    return LaplaceCombination._from_canonical(n, terms)
 
 
 RELATION_FAMILIES = ("theorem1", "cor1", "cor2", "laplace")

@@ -131,20 +131,17 @@ class Combination:
     _canonical (the stored form of a key, or None for a key that denotes
     zero), _sort_key (the order of items()), _format_key or _format_term
     (the text of one term) and _expand_key (the polynomial a key denotes).
-    trusted=True skips _canonical, for callers whose keys are canonical.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=(), *, trusted: bool = False):
-        canonical = None if trusted else self._canonical
+    def __init__(self, terms=()):
+        canonical = self._canonical
         acc: dict = {}
         for key, coeff in terms.items() if isinstance(terms, dict) else terms:
-            if canonical is not None:
-                key = canonical(key)
-                if key is None:
-                    continue
-            acc[key] = acc.get(key, 0) + coeff
+            key = canonical(key)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + coeff
         self._terms = nonzero(acc)
 
     @staticmethod

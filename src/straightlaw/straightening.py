@@ -7,20 +7,18 @@ order."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
-from typing import NamedTuple
 
 from .indexsets import (
     IndexSet,
     check_ground,
     complement,
+    from_mask,
     is_good,
     leq,
     leq_pair,
     lt,
     parity_sign,
-    subsets,
 )
 from .bideterminants import (
     LaplaceCombination,
@@ -71,24 +69,10 @@ def merge_map(u1: IndexSet, u2: IndexSet) -> MergeMap:
     return MergeMap(len(tagged), values, first, second)
 
 
-class _GoodPairs(NamedTuple):
-    pairs: list  # the size-matched good pairs, in LaplaceCombination.items() order
-    position: dict  # pair -> its index in pairs
-    transposed: list  # index of (u, w) -> index of (w, u)
-
-
-@lru_cache(maxsize=None)
-def _good_pairs(n: int) -> _GoodPairs:
-    good = sorted((s for s in subsets(n) if is_good(s, n)), key=lambda s: s.elements)
-    pairs = [(u, w) for u in good for w in good if len(u) == len(w)]
-    position = {pair: p for p, pair in enumerate(pairs)}
-    return _GoodPairs(pairs, position, [position[(w, u)] for u, w in pairs])
-
-
 # Straightening results, keyed by (rows, cols, ground): tuples of
-# (index in _good_pairs(ground).pairs, coefficient), by increasing index.
-# The poset of pairs is finite, so the cache is bounded; same key always maps
-# to the same tuple.
+# (pair code, coefficient), where the good pair (u, w) at ground n has the
+# code u | w << n. The poset of pairs is finite, so the cache is bounded; same
+# key always maps to the same tuple.
 _STRAIGHTEN_CACHE: dict[tuple[IndexSet, IndexSet, int], tuple] = {}
 
 
@@ -103,8 +87,9 @@ def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
     a, b = check_ground(n, a, b)
     if len(a) != len(b):
         return LaplaceCombination(n)
-    pairs = _good_pairs(n).pairs
-    return LaplaceCombination(n, ((pairs[p], c) for p, c in _straighten(a, b, n)), trusted=True)
+    full = (1 << n) - 1
+    return LaplaceCombination._from_canonical(
+        n, (((from_mask(p & full), from_mask(p >> n)), c) for p, c in _straighten(a, b, n)))
 
 
 def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple:
@@ -114,7 +99,7 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple:
         return hit
 
     if is_good(a, n) and is_good(b, n):
-        result = ((_good_pairs(n).position[(a, b)], 1),)
+        result = ((a | b << n, 1),)
     elif 2 * len(a) < n:
         # Small pairs: the alternating superset relation contains the target
         # once, and every other stored term is strictly below in both
@@ -140,8 +125,8 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple:
         # Only the row set is bad: straighten the transposed product and swap
         # the coordinates back (a Laplace product is symmetric under
         # transposition together with swapping its index sets).
-        transposed = _good_pairs(n).transposed
-        result = tuple(sorted((transposed[p], coeff) for p, coeff in _straighten(b, a, n)))
+        full = (1 << n) - 1
+        result = tuple(((p >> n) | (p & full) << n, coeff) for p, coeff in _straighten(b, a, n))
 
     _STRAIGHTEN_CACHE[key] = result
     return result
@@ -151,14 +136,15 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
                require_row_drop: bool):
     """Solve a vanishing combination for its (a, b) term and recurse on the
     remaining terms, which must sit strictly lower in the order. The sums
-    are kept in one slot per good pair, so they come out in canonical
-    order."""
+    are keyed by pair code, so the work grows with the pairs reached, not
+    with the ground."""
     eps = rel.coefficient(a, b)
     if eps not in (1, -1):
         raise RuntimeError(
             f"target {a}|{b} does not appear with unit coefficient in {rel}; this is a bug"
         )
-    acc = [0] * len(_good_pairs(n).pairs)
+    acc: dict = {}
+    get = acc.get
     for (u, w), coeff in rel._terms.items():
         if u == a and w == b:
             continue
@@ -168,8 +154,8 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
             raise RuntimeError(f"no strict drop from {a}|{b} to {u}|{w}; this is a bug")
         scale = -eps * coeff
         for p, inner in _straighten(u, w, n):
-            acc[p] += scale * inner
-    return tuple(filter(itemgetter(1), enumerate(acc)))
+            acc[p] = get(p, 0) + scale * inner
+    return tuple(filter(itemgetter(1), acc.items()))
 
 
 def straighten_pair(first: Minor, second: Minor,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,65 @@ def test_straighten_laplace_zero_on_mismatch():
 def test_straighten_laplace_bounds():
     with pytest.raises(ValueError):
         straighten_laplace(IndexSet([3]), IndexSet([3]), 2)
+
+
+def _bareiss_det(rows: list) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    elimination."""
+    m = [list(r) for r in rows]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        pivot = next((i for i in range(k, size) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
+
+
+def _laplace_value(x: list, a: IndexSet, b: IndexSet, n: int) -> int:
+    """The Laplace product (a, b) at the integer matrix x."""
+    ac = [i for i in range(1, n + 1) if i not in a]
+    bc = [j for j in range(1, n + 1) if j not in b]
+    sign = -1 if (sum(a) + sum(b)) % 2 else 1
+    return (sign * _bareiss_det([[x[i - 1][j - 1] for j in b] for i in a])
+            * _bareiss_det([[x[i - 1][j - 1] for j in bc] for i in ac]))
+
+
+def test_straighten_laplace_good_pair_at_large_ground_is_immediate():
+    # A good pair is its own straightening; no table over the ground's
+    # subsets may be built first (2^30 of them here).
+    a = IndexSet(range(1, 16))
+    b = IndexSet(range(1, 30, 2))
+    start = time.perf_counter()
+    combo = straighten_laplace(a, b, 30)
+    assert time.perf_counter() - start < 1.0
+    assert combo.items() == [((a, b), 1)]
+
+
+def test_straighten_laplace_ground_16():
+    # Near-full pairs at ground 16 reach few relations; the work must grow
+    # with those, not with the 2^16 subsets of the ground. Checked by value
+    # at a seeded integer matrix, since the expansions are out of reach.
+    n = 16
+    a, b = IndexSet(range(1, 15)), IndexSet(range(3, 17))
+    start = time.perf_counter()
+    combo = straighten_laplace(a, b, n)
+    assert time.perf_counter() - start < 10.0
+    assert len(combo) == 120
+    rng = random.Random(16)
+    x = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    total = 0
+    for (u, w), coeff in combo.items():
+        assert is_good(u, n) and is_good(w, n)
+        assert leq(u, a) and leq(w, b)
+        total += coeff * _laplace_value(x, u, w, n)
+    assert total == _laplace_value(x, a, b, n)
 
 
 def test_straighten_laplace_exhaustive_small():
