@@ -23,6 +23,7 @@ from straightlaw import (
     relation_inclusion_exclusion,
     xvar,
 )
+from straightlaw.bideterminants import _matching_perms_cached
 
 from conftest import all_subsets, masked_determinant, cofactor_expand, sigma_reference
 
@@ -202,7 +203,7 @@ def test_check_relation_separates_every_two_products():
 
 
 def test_check_relation_above_the_cached_grounds():
-    # Ground sizes 7 and 8 rebuild their permutation ranks for every term.
+    # Ground sizes 7 and 8 take the same cached rank lists as smaller grounds.
     rel7 = laplace_expansion(IndexSet([2]), 7)
     assert check_relation(rel7) and sigma_reference(rel7)
     assert not check_relation(_perturbed(rel7, 3)) and not sigma_reference(_perturbed(rel7, 3))
@@ -211,6 +212,16 @@ def test_check_relation_above_the_cached_grounds():
     assert not check_relation(_perturbed(rel8, 0, -2))
     with pytest.raises(ValueError, match="refused for ground size 9 > 8"):
         check_relation(LaplaceCombination(9, {(IndexSet([1]), IndexSet([1])): 1}))
+
+
+def test_check_relation_reuses_ranks_at_ground_seven():
+    rel = laplace_expansion(IndexSet([2]), 7)
+    assert check_relation(rel)
+    before = _matching_perms_cached.cache_info()
+    assert check_relation(rel)
+    after = _matching_perms_cached.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(rel)
 
 
 def test_relation_fundamental_examples():
@@ -232,6 +243,8 @@ def test_relation_inclusion_exclusion_examples():
                 assert relation_inclusion_exclusion(a, b, EMPTY, n) == relation_fundamental(a, b, n)
     with pytest.raises(ValueError):
         relation_inclusion_exclusion(EMPTY, IndexSet([1]), IndexSet([2]), 2)
+    with pytest.raises(ValueError, match=r"^\{2,3\} is not contained in \{1,3\}$"):
+        relation_inclusion_exclusion(EMPTY, IndexSet([1, 3]), IndexSet([2, 3]), 3)
 
 
 def test_relation_complementary_example():

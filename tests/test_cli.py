@@ -64,6 +64,15 @@ def test_parse_errors_carry_positions():
         parse_expression("[1 1|2]")
 
 
+def test_tokenize_skips_tabs_and_reads_unicode_digits():
+    assert cli._tokenize("\t-2[1\t\u0663|1 2]+[|] \t ") == [
+        ("minus", "-", 1), ("int", "2", 2), ("open", "[", 3), ("int", "1", 4),
+        ("int", "\u0663", 6), ("bar", "|", 7), ("int", "1", 8), ("int", "2", 10),
+        ("close", "]", 11), ("plus", "+", 12), ("open", "[", 13), ("bar", "|", 14),
+        ("close", "]", 15),
+    ]
+
+
 def test_printer_round_trip():
     for text in ("[1 2|1 3]", "2[1|1] - [2|2]", "[1|2][2|1]", "[|]", "0",
                  "-[1|1] + 4[1 2|1 2][2|2]"):
@@ -226,6 +235,7 @@ def test_independence_command(capsys):
 
     code, _, err = run_cli(capsys, "independence", "--m", "5", "--n", "5", "--max-factors", "2")
     assert code == 1
+    assert err == "error: dimensions 5x5 exceed the bound 3; raise dim_bound to force\n"
 
 
 def test_leading_command(capsys):
