@@ -11,10 +11,8 @@ from .indexsets import (
     laplace_sign,
     leq,
     leq_pair,
-    leq_prefix,
     lt,
     multiset_content,
-    perm_sign_front,
     subsets,
     subsets_between,
     supersets,
@@ -22,7 +20,6 @@ from .indexsets import (
 from .polynomials import (
     MONOMIAL_ONE,
     Polynomial,
-    compare_monomials,
     exponents,
     format_monomial,
     monomial,
@@ -59,7 +56,6 @@ from .straightening import (
 from .standard import content, is_standard, normal_form
 from .independence import (
     Specialization,
-    binet_cauchy_check,
     decode_leading,
     integer_rank,
     minor_leading_monomial,
@@ -70,6 +66,6 @@ from .independence import (
     verify_relation_completeness,
     word_leading_witness,
 )
-from .cli import format_expression, parse_expression
+from .cli import parse_expression
 
 __version__ = "0.1.0"

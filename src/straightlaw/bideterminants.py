@@ -114,21 +114,15 @@ class LaplaceProduct:
         return f"LaplaceProduct({self.rows!r}, {self.cols!r}, ground={self.ground})"
 
 
-def leibniz(rows, cols, var) -> Polynomial:
-    """Determinant of the matrix with entry var(r, c) in row r and column c,
-    as the plain signed sum over all bijections from the increasing index
-    sequence rows onto cols; 1 when both are empty, 0 on a size mismatch."""
+@lru_cache(maxsize=None)
+def _expand_minor(rows: IndexSet, cols: IndexSet) -> Polynomial:
+    """expand_minor on a row and a column set, without the bound check."""
     if len(rows) != len(cols):
         return Polynomial.zero()
     return Polynomial(
-        (monomial({var(r, c): 1 for r, c in zip(rows, perm)}), permutation_sign(perm))
-        for perm in itertools.permutations(cols)
+        (monomial({xvar(r, c): 1 for r, c in zip(rows.elements, perm)}), permutation_sign(perm))
+        for perm in itertools.permutations(cols.elements)
     )
-
-
-@lru_cache(maxsize=None)
-def _expand_minor(rows: IndexSet, cols: IndexSet) -> Polynomial:
-    return leibniz(rows.elements, cols.elements, xvar)
 
 
 def expand_minor(minor: Minor, m: int | None = None, n: int | None = None) -> Polynomial:
@@ -323,17 +317,10 @@ def check_relation(rel: LaplaceCombination) -> bool:
 
 
 def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
-    """The basic vanishing combination for a pair (a, b): summing over column
-    subsets of b minus summing over row supersets of a.
-
-    Only size-matched terms are materialized; the result always expands to
-    the zero polynomial.
-    """
-    a, b = check_ground(n, a, b)
-    return LaplaceCombination._from_canonical(n, itertools.chain(
-        (((a, v), 1) for v in subsets(b, size=len(a))),
-        (((u, b), -1) for u in supersets(a, n, size=len(b))),
-    ))
+    """The basic vanishing combination for a pair (a, b) (Theorem 1): summing
+    over column subsets of b minus summing over row supersets of a. It is
+    the inclusion-exclusion relation with the empty set pinned."""
+    return relation_inclusion_exclusion(a, b, EMPTY, n)
 
 
 def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) -> LaplaceCombination:

@@ -149,11 +149,6 @@ def parse_expression(text: str) -> WordCombination:
     return WordCombination(_parse_raw(text))
 
 
-def format_expression(comb: WordCombination) -> str:
-    """Printer inverse to parse_expression (on canonical combinations)."""
-    return str(comb)
-
-
 def _parse_with_dims(text: str, m: int | None, n: int | None) -> tuple[WordCombination, int, int]:
     """Parse an expression against an m x n matrix. A dimension left as None
     becomes the largest index of its kind written anywhere in the

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 from .indexsets import IndexSet, is_good, leq, leq_pair, subsets
@@ -19,7 +18,6 @@ from .polynomials import (
     monomial,
     monomial_part,
     mul_monomials,
-    xvar,
     yvar,
     zvar,
 )
@@ -27,9 +25,7 @@ from .bideterminants import (
     Minor,
     MinorWord,
     _expand_laplace,
-    _expand_minor,
     expand_word,
-    leibniz,
     relation_fundamental,
 )
 from .straightening import straighten_laplace
@@ -37,8 +33,10 @@ from .straightening import straighten_laplace
 
 @dataclass(frozen=True)
 class Specialization:
-    """Substitution of x[i,j] by sum_v y[i,v]*z[j,v] for v in 1..N, i.e. the
-    entries of the product of a generic m x N and a generic N x n matrix."""
+    """The factorization X = Y Z of an m x n matrix through inner dimension
+    N, with Y generic m x N in y[i,v] and Z generic N x n in z[j,v]. It
+    records the setting of the leading witnesses, which are monomials in y
+    and z; it performs no substitution."""
 
     m: int
     n: int
@@ -47,44 +45,6 @@ class Specialization:
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.N < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.m}x{self.n} with N={self.N}")
-
-    def x_image(self, i: int, j: int) -> Polynomial:
-        return _x_image(i, j, self.N)
-
-    def substitute(self, p: Polynomial) -> Polynomial:
-        images = {
-            xvar(i, j): _x_image(i, j, self.N)
-            for i in range(1, self.m + 1)
-            for j in range(1, self.n + 1)
-        }
-        return p.substitute(images)
-
-
-@lru_cache(maxsize=None)
-def _x_image(i: int, j: int, N: int) -> Polynomial:
-    return Polynomial(
-        {monomial({yvar(i, v): 1, zvar(j, v): 1}): 1 for v in range(1, N + 1)}
-    )
-
-
-def y_minor(a: IndexSet, s: IndexSet) -> Polynomial:
-    """Minor of the generic left factor: rows a, superscript columns s."""
-    return leibniz(a.elements, s.elements, yvar)
-
-
-def z_minor(s: IndexSet, b: IndexSet) -> Polynomial:
-    """Minor of the generic right factor: superscript rows s, columns b."""
-    return leibniz(s.elements, b.elements, lambda v, j: zvar(j, v))
-
-
-def binet_cauchy_check(a: IndexSet, b: IndexSet, spec: Specialization) -> bool:
-    """Verify on one minor that substituting X = Y Z equals the sum over all
-    superscript sets s of Y(a|s) * Z(s|b), both sides expanded independently."""
-    left = spec.substitute(_expand_minor(a, b))
-    right = Polynomial.zero()
-    for s in subsets(spec.N, size=len(a)):
-        right = right + y_minor(a, s) * z_minor(s, b)
-    return left == right
 
 
 def minor_leading_monomial(a: IndexSet, b: IndexSet, spec: Specialization) -> Monomial:

@@ -71,12 +71,6 @@ class IndexSet(int):
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
-    def union(self, other: Iterable[int]) -> "IndexSet":
-        return IndexSet(set(self.elements) | set(other))
-
-    def issubset(self, other: Iterable[int]) -> bool:
-        return set(self.elements) <= set(other)
-
 
 class _Interned(dict):
     """mask -> its one IndexSet; a mask seen for the first time gets its
@@ -142,13 +136,6 @@ def leq_pair(p, q) -> bool:
     return leq(p[0], q[0]) and leq(p[1], q[1])
 
 
-def leq_prefix(s: IndexSet, t: IndexSet, n: int) -> bool:
-    """Prefix-count formulation of the same order: |s cap {1..r}| >=
-    |t cap {1..r}| for every r in 1..n."""
-    return all((s & (1 << r) - 1).bit_count() >= (t & (1 << r) - 1).bit_count()
-               for r in range(1, n + 1))
-
-
 def is_good(s: IndexSet, n: int) -> bool:
     """True when s is below its own complement in {1..n}.
 
@@ -171,14 +158,6 @@ def permutation_sign(seq) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return parity_sign(inv)
-
-
-def perm_sign_front(a: IndexSet, n: int) -> int:
-    """Sign of the permutation moving the elements of a to the front of
-    {1..n}, keeping everything else in place: (-1)**sum(a_i - i)."""
-    if a >> n:
-        raise ValueError(f"element {a.elements[-1]} exceeds ground bound {n}")
-    return parity_sign(sum(e - i for i, e in enumerate(a.elements, start=1)))
 
 
 def laplace_sign(a: IndexSet, b: IndexSet) -> int:

@@ -106,13 +106,6 @@ def mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2, reverse=True))
 
 
-def compare_monomials(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0 or +1: compare exponents variable by variable, from the greatest
-    variable downward; the first difference decides. On descending id tuples
-    this is plain tuple comparison."""
-    return (m1 > m2) - (m1 < m2)
-
-
 def format_monomial(m: Monomial) -> str:
     if not m:
         return "1"
@@ -285,53 +278,3 @@ class Polynomial(Combination):
         return Polynomial._wrap(data)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def leading_monomial(self) -> Monomial:
-        """The greatest monomial present; raises on the zero polynomial."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading monomial")
-        return max(self._terms)
-
-    def evaluate(self, values: Mapping[Variable, int]) -> int:
-        """Exact integer evaluation; every variable present must be assigned."""
-        total = 0
-        for mono, coeff in self._terms.items():
-            term = coeff
-            for v, e in exponents(mono).items():
-                if v not in values:
-                    raise ValueError(f"no value supplied for {format_variable(v)}")
-                term *= values[v] ** e
-            total += term
-        return total
-
-    def substitute(self, images: Mapping[Variable, "Polynomial"]) -> "Polynomial":
-        """Replace variables by polynomials; unmapped variables stay."""
-        pow_cache: dict[tuple[Variable, int], Polynomial] = {}
-        total = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            prod = Polynomial.constant(coeff)
-            for v, e in exponents(mono).items():
-                img = images.get(v)
-                if img is None:
-                    prod = prod * Polynomial.var(v, e)
-                else:
-                    p = pow_cache.get((v, e))
-                    if p is None:
-                        p = img ** e
-                        pow_cache[(v, e)] = p
-                    prod = prod * p
-            total = total + prod
-        return total

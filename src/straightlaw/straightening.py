@@ -117,8 +117,8 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple:
             if i_v > j_v
         )
         prefix = bc.elements[:nu]
-        d = b.union(prefix)
         c = IndexSet(prefix + b.elements[nu - 1:])
+        d = from_mask(b | c)
         rel = relation_inclusion_exclusion(a, d, c, n)
         result = _eliminate(rel, a, b, n, require_row_drop=False)
     else:

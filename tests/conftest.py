@@ -12,9 +12,13 @@ from straightlaw import (
     Minor,
     Polynomial,
     eval_on_permutation,
+    expand_minor,
+    exponents,
     monomial,
     variable_key,
     xvar,
+    yvar,
+    zvar,
 )
 
 
@@ -44,6 +48,61 @@ def cofactor_expand(rows: tuple, cols: tuple) -> Polynomial:
         term = Polynomial.var(xvar(r0, c)) * sub
         total = total + (term if pos % 2 == 0 else -term)
     return total
+
+
+def permutation_sum(rows, cols, var) -> Polynomial:
+    """Determinant of the matrix with entry var(r, c) in row r and column c:
+    the signed sum over all bijections from rows onto cols, signs from
+    inversion counts; 1 when both are empty, 0 on a size mismatch."""
+    if len(rows) != len(cols):
+        return Polynomial.zero()
+    return Polynomial(
+        (monomial({var(r, c): 1 for r, c in zip(rows, perm)}), inversion_sign(perm))
+        for perm in itertools.permutations(cols)
+    )
+
+
+def substitute(p: Polynomial, N: int) -> Polynomial:
+    """p with every x[i,j] replaced by sum_v y[i,v]*z[j,v] for v in 1..N, the
+    entries of the product of a generic m x N and a generic N x n matrix;
+    y and z variables stay."""
+    total = Polynomial.zero()
+    for mono, coeff in p.items():
+        prod = Polynomial.constant(coeff)
+        for v, e in exponents(mono).items():
+            if v[0] == "x":
+                image = Polynomial({monomial({yvar(v[1], s): 1, zvar(v[2], s): 1}): 1
+                                    for s in range(1, N + 1)})
+            else:
+                image = Polynomial.var(v)
+            for _ in range(e):
+                prod = prod * image
+        total = total + prod
+    return total
+
+
+def evaluate(p: Polynomial, values: dict) -> int:
+    """Exact integer value of p; every variable present must be assigned."""
+    total = 0
+    for mono, coeff in p.items():
+        term = coeff
+        for v, e in exponents(mono).items():
+            if v not in values:
+                raise ValueError(f"no value supplied for {v}")
+            term *= values[v] ** e
+        total += term
+    return total
+
+
+def binet_cauchy_check(a: IndexSet, b: IndexSet, spec) -> bool:
+    """Verify on one minor that substituting X = Y Z equals the sum over all
+    superscript sets s of Y(a|s) * Z(s|b), both sides expanded independently."""
+    right = Polynomial.zero()
+    for s in itertools.combinations(range(1, spec.N + 1), len(a)):
+        y_minor = permutation_sum(a.elements, s, yvar)
+        z_minor = permutation_sum(s, b.elements, lambda v, j: zvar(j, v))
+        right = right + y_minor * z_minor
+    return substitute(expand_minor(Minor(a, b)), spec.N) == right
 
 
 def masked_determinant(a: IndexSet, b: IndexSet, n: int) -> Polynomial:

@@ -25,7 +25,7 @@ from straightlaw import (
 )
 from straightlaw.bideterminants import _matching_perms_cached
 
-from conftest import all_subsets, masked_determinant, cofactor_expand, sigma_reference
+from conftest import all_subsets, evaluate, masked_determinant, cofactor_expand, sigma_reference
 
 
 def _perms(n):
@@ -106,7 +106,7 @@ def test_eval_on_permutation_agrees_with_substituted_expansion():
                     if len(a) != len(b):
                         continue
                     lp = LaplaceProduct(a, b, n)
-                    assert eval_on_permutation(lp, sigma) == expand_laplace(lp).evaluate(values)
+                    assert eval_on_permutation(lp, sigma) == evaluate(expand_laplace(lp), values)
 
 
 def test_combination_drops_zero_and_mismatched_terms():

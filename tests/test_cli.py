@@ -10,7 +10,6 @@ from straightlaw import (
     Minor,
     WordCombination,
     cli,
-    format_expression,
     parse_expression,
     standard,
     straightening,
@@ -77,7 +76,7 @@ def test_printer_round_trip():
     for text in ("[1 2|1 3]", "2[1|1] - [2|2]", "[1|2][2|1]", "[|]", "0",
                  "-[1|1] + 4[1 2|1 2][2|2]"):
         combo = parse_expression(text)
-        assert parse_expression(format_expression(combo)) == combo
+        assert parse_expression(str(combo)) == combo
 
 
 def test_straighten_emits_verified_certificate(capsys):
@@ -261,6 +260,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "straightlaw.cli", "straighten", "[1|1]"],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",  # -m imports from the working directory
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["oracleVerified"] is True
