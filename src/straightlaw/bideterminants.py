@@ -6,7 +6,6 @@ relation families the straightening algorithms consume."""
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Tuple
 
@@ -16,16 +15,16 @@ from .indexsets import (
     check_ground,
     complement,
     from_mask,
+    full_set,
+    is_good,
     laplace_sign,
     parity_sign,
     permutation_sign,
-    subsets,
     subsets_between,
-    supersets,
 )
 from .polynomials import Combination, Polynomial, monomial, nonzero, xvar
 
-# Ground bound for the permutation criterion (n! enumeration).
+# Ground bound for the permutation criterion (Catalan(n) basis, proven per ground).
 SIGMA_CHECK_MAX_GROUND = 8
 
 
@@ -258,41 +257,100 @@ class LaplaceCombination(Combination):
         return f"LaplaceCombination(n={self.ground}, {self})"
 
 
+@lru_cache(maxsize=None, typed=True)
+def _between(lower: IndexSet, upper: IndexSet, size: int | None = None) -> tuple[IndexSet, ...]:
+    """subsets_between(lower, upper, size) as a tuple, for the relation
+    builders, which ask for a few thousand distinct enumerations hundreds of
+    thousands of times. typed: an IndexSet equals its mask as an int."""
+    return tuple(subsets_between(lower, upper, size))
+
+
+def _avoiding_231(n: int) -> list[tuple[int, ...]]:
+    """The permutations of {0..n-1} (as value tuples, position i first)
+    with no positions i < j < k and sigma(k) < sigma(i) < sigma(j): the
+    maximum at any position k, the values 0..k-1 before it and the values
+    k..n-2 after it, each side 231-avoiding. There are Catalan(n) of them."""
+    if n == 0:
+        return [()]
+    top = n - 1
+    return [left + (top,) + tuple(k + v for v in right)
+            for k in range(n)
+            for left in _avoiding_231(k)
+            for right in _avoiding_231(n - 1 - k)]
+
+
+def _images(perm: tuple[int, ...]) -> list[int]:
+    """The image mask of every position mask under perm, indexed by mask."""
+    images = [0] * (1 << len(perm))
+    for a in range(1, len(images)):
+        low = a & -a
+        images[a] = images[a ^ low] | 1 << perm[low.bit_length() - 1]
+    return images
+
+
+def _good_pairs(n: int) -> list[int]:
+    """Codes a | b << n of the size-matched pairs (a, b) at ground n with a
+    and b both good: the pairs straighten_laplace writes every product in."""
+    good = [s for s in _between(EMPTY, full_set(n)) if is_good(s, n)]
+    return [a | b << n for a in good for b in good if len(a) == len(b)]
+
+
+def _prove_basis(perms: list[tuple[int, ...]], n: int) -> None:
+    """Raise RuntimeError unless the evaluation rows of perms span the rows
+    of every permutation of {0..n-1}.
+
+    E has a row per permutation sigma and a column per size-matched pair
+    (a, b), with entry sign(sigma) when sigma maps a onto b and 0 otherwise;
+    a combination vanishes iff E kills its coefficient vector. E_S is E on
+    the rows of perms. ker E <= ker E_S always. By the straightening law the
+    good Laplace products span them all, and evaluation is linear, so every
+    column of E is a combination of good-pair columns: rank E <= g, the
+    number of good pairs. Here we check that len(perms) == g and that E_S on
+    the good-pair columns has rank g over GF(2), hence over Q (a rational
+    dependency, scaled to coprime integers, stays nontrivial mod 2; signs
+    vanish mod 2). Then rank E_S = rank E, and ker E_S = ker E.
+    """
+    column = {code: j for j, code in enumerate(_good_pairs(n))}
+    if len(perms) != len(column):
+        raise RuntimeError(
+            f"sigma basis at ground {n} has {len(perms)} permutations for {len(column)} good pairs")
+    pivots: dict[int, int] = {}
+    for perm in perms:
+        if sorted(perm) != list(range(n)):
+            raise RuntimeError(f"sigma basis at ground {n} holds a non-permutation {perm!r}")
+        row = 0
+        for a, b in enumerate(_images(perm)):
+            j = column.get(a | b << n)
+            if j is not None:
+                row |= 1 << j
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if not row:
+            raise RuntimeError(f"sigma basis at ground {n} is not independent over GF(2)")
+        pivots[row.bit_length()] = row
+
+
 @lru_cache(maxsize=None)
-def _perm_ranks(n: int) -> dict[int, int]:
-    """Lexicographic rank of each permutation sigma of {1..n}, keyed by its
-    code sum((sigma(i) - 1) * n**(i - 1)); the code of a permutation is the
-    sum of the codes of its restrictions to a set of positions and to the
-    complementary positions."""
-    return {
-        sum(v * n ** i for i, v in enumerate(perm)): rank
-        for rank, perm in enumerate(itertools.permutations(range(n)))
-    }
-
-
-def _restriction_codes(rows: IndexSet, cols: IndexSet, n: int) -> list[int]:
-    """Codes of all bijections from the positions rows onto the values cols."""
-    weights = [n ** (r - 1) for r in rows.elements]
-    return [sum(w * (c - 1) for w, c in zip(weights, perm))
-            for perm in itertools.permutations(cols.elements)]
+def _sigma_basis(n: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The size of the proven 231-avoiding basis at ground n, and for every
+    pair code a | b << n that some basis permutation realises, the indices
+    of the basis permutations mapping the position set a onto the value set
+    b. Built on the first check at a ground: 8,448 entries at n = 6, 54,912
+    at n = 7 and 366,080 at n = 8."""
+    perms = _avoiding_231(n)
+    _prove_basis(perms, n)
+    table: dict[int, list[int]] = {}
+    for i, perm in enumerate(perms):
+        for a, b in enumerate(_images(perm)):
+            table.setdefault(a | b << n, []).append(i)
+    return len(perms), {code: tuple(found) for code, found in table.items()}
 
 
 @lru_cache(maxsize=None)
 def _matching_perms_cached(rows: IndexSet, cols: IndexSet, n: int) -> tuple[int, ...]:
-    """Lexicographic ranks of all permutations of {1..n} mapping the row set
-    onto the column set, which must be of equal size, as every key of a
-    LaplaceCombination is.
-
-    The cache is the criterion's only source of ranks, at every ground, and
-    its bound is the ground bound SIGMA_CHECK_MAX_GROUND: a ground n has
-    C(2n, n) size-matched pairs holding 2**n * n! ranks in all. Filled for
-    every pair, that is 645,120 ranks and a 21 MB peak RSS at n = 7, and
-    10,321,920 ranks and a 102 MB peak RSS at n = 8 (Python 3.11, from a
-    16 MB interpreter with the package imported).
-    """
-    rank = _perm_ranks(n)
-    outer = _restriction_codes(complement(rows, n), complement(cols, n), n)
-    return tuple(rank[x + y] for x in _restriction_codes(rows, cols, n) for y in outer)
+    """Indices of the basis permutations (see _sigma_basis) mapping the row
+    set onto the column set; empty when none does, as for a size mismatch."""
+    return _sigma_basis(n)[1].get(rows | cols << n, ())
 
 
 def check_relation(rel: LaplaceCombination) -> bool:
@@ -300,16 +358,17 @@ def check_relation(rel: LaplaceCombination) -> bool:
     every permutation sigma the coefficients of the terms whose row set maps
     onto their column set sum to zero.
 
-    Every sigma in S_n is covered, by its lexicographic rank in a list of n!
-    sums: sigmas matched by no term keep an empty sum. Refuses ground sizes
-    above SIGMA_CHECK_MAX_GROUND (n! blow-up guard).
+    It suffices to test the Catalan(n) 231-avoiding permutations: their
+    evaluation rows are proven, once per ground, to span those of all of
+    S_n (see _prove_basis). Basis permutations matched by no term keep an
+    empty sum. Refuses ground sizes above SIGMA_CHECK_MAX_GROUND.
     """
     n = rel.ground
     if n > SIGMA_CHECK_MAX_GROUND:
         raise ValueError(
             f"permutation criterion refused for ground size {n} > {SIGMA_CHECK_MAX_GROUND}"
         )
-    totals = [0] * math.factorial(n)
+    totals = [0] * _sigma_basis(n)[0]
     for (a, b), coeff in rel._terms.items():
         for r in _matching_perms_cached(a, b, n):
             totals[r] += coeff
@@ -328,11 +387,12 @@ def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) 
     b: column sets range over c <= v <= b on one side, while the other side
     alternates over subsets w of c removed from b."""
     a, b, c = check_ground(n, a, b, c)
-    terms = [((a, v), 1) for v in subsets_between(c, b, size=len(a))]
-    for w in subsets(c):
+    terms = [((a, v), 1) for v in _between(c, b, len(a))]
+    full = full_set(n)
+    for w in _between(EMPTY, c):
         sign = parity_sign(len(w))
         bw = from_mask(b & ~w)
-        terms += (((u, bw), -sign) for u in supersets(a, n, size=len(bw)))
+        terms += (((u, bw), -sign) for u in _between(a, full, len(bw)))
     return LaplaceCombination._from_canonical(n, terms)
 
 
@@ -341,12 +401,13 @@ def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombinati
     (u, w) of (a, b) minus the sum over column subsets v of b taken against
     the complement of v."""
     a, b = check_ground(n, a, b)
+    full = full_set(n)
     terms = [
         ((u, w), parity_sign(n - len(w)))
-        for w in supersets(b, n)
-        for u in supersets(a, n, size=len(w))
+        for w in _between(b, full)
+        for u in _between(a, full, len(w))
     ]
-    terms += (((a, complement(v, n)), -1) for v in subsets(b) if n - len(v) == len(a))
+    terms += (((a, complement(v, n)), -1) for v in _between(EMPTY, b) if n - len(v) == len(a))
     return LaplaceCombination._from_canonical(n, terms)
 
 
@@ -357,7 +418,8 @@ def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCom
         raise ValueError(f"side must be 'rows' or 'cols', got {side!r}")
     (fixed,) = check_ground(n, fixed)
     terms = [((EMPTY, EMPTY), 1)]
-    terms += (((s, fixed) if side == "cols" else (fixed, s), -1) for s in subsets(n, size=len(fixed)))
+    terms += (((s, fixed) if side == "cols" else (fixed, s), -1)
+              for s in _between(EMPTY, full_set(n), len(fixed)))
     return LaplaceCombination._from_canonical(n, terms)
 
 
@@ -367,22 +429,23 @@ RELATION_FAMILIES = ("theorem1", "cor1", "cor2", "laplace")
 def relation_family(n: int, family: str) -> Iterator[tuple[str, LaplaceCombination]]:
     """Every instance of one relation family on ground size n, as
     (label, combination) pairs."""
+    if family not in RELATION_FAMILIES:
+        raise ValueError(f"unknown relation family {family!r}; expected one of {RELATION_FAMILIES}")
+    every = _between(EMPTY, full_set(n))
     if family == "theorem1":
-        for a in subsets(n):
-            for b in subsets(n):
+        for a in every:
+            for b in every:
                 yield f"A={a} B={b}", relation_fundamental(a, b, n)
     elif family == "cor1":
-        for b in subsets(n):
-            for c in subsets(b):
-                for a in subsets(n):
+        for b in every:
+            for c in _between(EMPTY, b):
+                for a in every:
                     yield f"A={a} B={b} C={c}", relation_inclusion_exclusion(a, b, c, n)
     elif family == "cor2":
-        for a in subsets(n):
-            for b in subsets(n):
+        for a in every:
+            for b in every:
                 yield f"A={a} B={b}", relation_complementary(a, b, n)
-    elif family == "laplace":
-        for side in ("cols", "rows"):
-            for fixed in subsets(n):
-                yield f"side={side} fixed={fixed}", laplace_expansion(fixed, n, side)
     else:
-        raise ValueError(f"unknown relation family {family!r}; expected one of {RELATION_FAMILIES}")
+        for side in ("cols", "rows"):
+            for fixed in every:
+                yield f"side={side} fixed={fixed}", laplace_expansion(fixed, n, side)

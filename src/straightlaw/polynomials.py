@@ -222,8 +222,8 @@ class Polynomial(Combination):
         return cls({MONOMIAL_ONE: c})
 
     @classmethod
-    def var(cls, v: Variable, exponent: int = 1) -> "Polynomial":
-        return cls({monomial({v: exponent}): 1})
+    def var(cls, v: Variable) -> "Polynomial":
+        return cls({monomial({v: 1}): 1})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -2,7 +2,6 @@
 each printing a PASS/FAIL line. Everything is exact integer arithmetic; the
 only tolerance anywhere is equality."""
 
-import itertools
 import random
 from contextlib import contextmanager
 

@@ -1,5 +1,10 @@
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,7 @@ from straightlaw import (
     expand_laplace,
     expand_minor,
     exponents,
+    integer_rank,
     laplace_expansion,
     relation_complementary,
     relation_family,
@@ -23,9 +29,22 @@ from straightlaw import (
     relation_inclusion_exclusion,
     xvar,
 )
-from straightlaw.bideterminants import _matching_perms_cached
+from straightlaw.bideterminants import (
+    _avoiding_231,
+    _good_pairs,
+    _matching_perms_cached,
+    _prove_basis,
+    _sigma_basis,
+)
 
-from conftest import all_subsets, evaluate, masked_determinant, cofactor_expand, sigma_reference
+from conftest import (
+    all_subsets,
+    cofactor_expand,
+    evaluate,
+    inversion_sign,
+    masked_determinant,
+    sigma_reference,
+)
 
 
 def _perms(n):
@@ -222,6 +241,79 @@ def test_check_relation_reuses_ranks_at_ground_seven():
     after = _matching_perms_cached.cache_info()
     assert after.misses == before.misses
     assert after.hits - before.hits == len(rel)
+
+
+def _catalan(n):
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def test_sigma_basis_has_catalan_size():
+    for n in range(0, 9):
+        perms = _avoiding_231(n)
+        assert len(perms) == len(set(perms)) == len(_good_pairs(n)) == _catalan(n), n
+        assert _sigma_basis(n)[0] == _catalan(n)
+        if n <= 6:
+            assert all(sorted(p) == list(range(n)) for p in perms)
+            # no positions i < j < k with p[k] < p[i] < p[j]
+            assert not any(p[k] < p[i] < p[j] for p in perms
+                           for i, j, k in itertools.combinations(range(n), 3))
+
+
+def _evaluation_rows(perms, n):
+    """Rows of the evaluation matrix: for each permutation (0-based values),
+    sign * 1 in the column (a, image of a) of every position set a."""
+    rows = []
+    for perm in perms:
+        sign = inversion_sign(perm)
+        row = {}
+        for a in all_subsets(n):
+            image = IndexSet(perm[i - 1] + 1 for i in a)
+            row[(a, image)] = sign
+        rows.append(row)
+    return rows
+
+
+def test_sigma_basis_spans_every_permutation():
+    # The exact rank over all n! rows equals that of the basis rows alone,
+    # so both matrices have the same kernel.
+    for n in range(0, 7):
+        full = integer_rank(_evaluation_rows(itertools.permutations(range(n)), n))
+        assert integer_rank(_evaluation_rows(_avoiding_231(n), n)) == full == _catalan(n), n
+
+
+def test_tampered_basis_fails_the_proof():
+    perms = _avoiding_231(5)
+    _prove_basis(perms, 5)
+    with pytest.raises(RuntimeError, match="not independent"):
+        _prove_basis(perms[:-1] + perms[:1], 5)
+    with pytest.raises(RuntimeError, match="43 permutations for 42 good pairs"):
+        _prove_basis(perms + perms[:1], 5)
+    with pytest.raises(RuntimeError, match="non-permutation"):
+        _prove_basis(perms[:-1] + [(0, 0, 1, 2, 3)], 5)
+
+
+def test_basis_proof_survives_python_O():
+    code = ("from straightlaw.bideterminants import _avoiding_231, _prove_basis\n"
+            "perms = _avoiding_231(4)\n"
+            "try:\n    _prove_basis(perms[:-1] + perms[:1], 4)\n"
+            "except RuntimeError as exc:\n    print('refused:', exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: sigma basis at ground 4"), proc.stdout
+
+
+def test_check_relation_agrees_with_reference_on_perturbed_families():
+    # A seeded sample of every family at n = 5, each relation as generated
+    # and with one coefficient moved by a seeded nonzero amount.
+    rng = random.Random(5)
+    for family in RELATION_FAMILIES:
+        rels = [rel for _, rel in relation_family(5, family) if rel]
+        for rel in rng.sample(rels, 12):
+            assert check_relation(rel) and sigma_reference(rel), family
+            changed = _perturbed(rel, rng.randrange(len(rel)), rng.choice((-2, -1, 1, 2)))
+            assert not check_relation(changed) and not sigma_reference(changed), family
 
 
 def test_relation_fundamental_examples():

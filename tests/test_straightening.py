@@ -1,9 +1,8 @@
-import itertools
 import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from straightlaw import (
