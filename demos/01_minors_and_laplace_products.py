@@ -10,11 +10,9 @@ from straightlaw import (
     EMPTY,
     IndexSet,
     LaplaceCombination,
-    LaplaceProduct,
     Minor,
     check_relation,
     eval_on_permutation,
-    expand_laplace,
     expand_minor,
     laplace_expansion,
     relation_fundamental,
@@ -30,8 +28,8 @@ print("== Laplace products on a 3x3 matrix ==")
 print("A Laplace product pairs a minor with its complementary minor and a")
 print("sign; {A|B} with A = B = {1,2,3} is the determinant itself.")
 for rows, cols in [([1], [1]), ([2], [1]), ([1, 2, 3], [1, 2, 3])]:
-    lp = LaplaceProduct(IndexSet(rows), IndexSet(cols), 3)
-    print(f"  {lp} = {expand_laplace(lp)}")
+    lp = LaplaceCombination(3, {(IndexSet(rows), IndexSet(cols)): 1})
+    print(f"  {lp} = {lp.expand()}")
 
 print()
 print("== The classical Laplace expansion as a vanishing combination ==")
@@ -50,4 +48,4 @@ print(f"  {bogus}: check_relation -> {check_relation(bogus)}")
 
 print()
 print("Evaluating {1|2} on the transposition matrix (1 2):")
-print(f"  value = {eval_on_permutation(LaplaceProduct([1], [2], 2), (2, 1))}")
+print(f"  value = {eval_on_permutation([1], [2], (2, 1))}")

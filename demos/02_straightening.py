@@ -9,7 +9,6 @@ exact polynomials.
 
 from straightlaw import (
     IndexSet,
-    LaplaceProduct,
     Minor,
     expand_laplace,
     expand_minor,
@@ -29,11 +28,11 @@ print("== Straightening a bad Laplace product ==")
 a, b = IndexSet([2]), IndexSet([2])
 combo = straighten_laplace(a, b, 2)
 print(f"  {{2|2}} on a 2x2 matrix rewrites to: {combo}")
-print(f"  both sides expand to: {expand_laplace(LaplaceProduct(a, b, 2))}")
+print(f"  both sides expand to: {expand_laplace(a, b, 2)}")
 
 combo3 = straighten_laplace(IndexSet([3]), IndexSet([3]), 3)
 print(f"  {{3|3}} on a 3x3 matrix rewrites to: {combo3}")
-assert combo3.expand() == expand_laplace(LaplaceProduct([3], [3], 3))
+assert combo3.expand() == expand_laplace([3], [3], 3)
 print("  oracle expansion equality holds.")
 
 print()

@@ -12,7 +12,6 @@ them and the fundamental relation family generates every linear relation.
 from straightlaw import (
     IndexSet,
     Minor,
-    Specialization,
     decode_leading,
     format_monomial,
     minor_leading_monomial,
@@ -23,14 +22,14 @@ from straightlaw import (
 )
 
 print("== Leading witnesses under X = Y Z ==")
-spec = Specialization(2, 2, 2)
+N = 2
 for rows, cols in [([1], [2]), ([1, 2], [1, 2])]:
-    lead = minor_leading_monomial(IndexSet(rows), IndexSet(cols), spec)
+    lead = minor_leading_monomial(IndexSet(rows), IndexSet(cols), N)
     print(f"  witness of [{' '.join(map(str, rows))}|{' '.join(map(str, cols))}]: "
           f"{format_monomial(lead)}")
 
 word = (Minor([1, 2], [1, 2]), Minor([2], [2]))
-wit = word_leading_witness(word, spec)
+wit = word_leading_witness(word, N)
 print(f"  witness of {''.join(map(str, word))}: {format_monomial(wit)}")
 ypart = monomial_part(wit, 'y')
 print(f"  decoding the y-part recovers the row chain: "

@@ -15,7 +15,6 @@ from .indexsets import (
     multiset_content,
     subsets,
     subsets_between,
-    supersets,
 )
 from .polynomials import (
     MONOMIAL_ONE,
@@ -32,7 +31,6 @@ from .polynomials import (
 )
 from .bideterminants import (
     LaplaceCombination,
-    LaplaceProduct,
     Minor,
     RELATION_FAMILIES,
     WordCombination,
@@ -55,7 +53,6 @@ from .straightening import (
 )
 from .standard import content, is_standard, normal_form
 from .independence import (
-    Specialization,
     decode_leading,
     integer_rank,
     minor_leading_monomial,

@@ -74,48 +74,9 @@ def _format_pair(rows: IndexSet, cols: IndexSet, brackets: str) -> str:
     return f"{brackets[0]}{r}|{c}{brackets[1]}"
 
 
-def check_bounds(minors: Iterable[Minor], m: int | None = None, n: int | None = None) -> None:
-    """Raise ValueError at the first minor with a row index above m or a
-    column index above n; a bound of None is not checked."""
-    for f in minors:
-        if m is not None and f.rows.elements and f.rows.elements[-1] > m:
-            raise ValueError(f"row index {f.rows.elements[-1]} exceeds m={m}")
-        if n is not None and f.cols.elements and f.cols.elements[-1] > n:
-            raise ValueError(f"column index {f.cols.elements[-1]} exceeds n={n}")
-
-
-class LaplaceProduct:
-    """The signed two-minor product (A|B)(A~|B~) on an n x n matrix, where
-    A~, B~ are complements in {1..n} and the sign is (-1)**(sum A + sum B)."""
-
-    __slots__ = ("rows", "cols", "ground")
-
-    def __init__(self, rows, cols, ground: int):
-        self.rows, self.cols = check_ground(ground, rows, cols)
-        self.ground = ground
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.rows) != len(self.cols)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaplaceProduct):
-            return (self.rows, self.cols, self.ground) == (other.rows, other.cols, other.ground)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.ground))
-
-    def __str__(self) -> str:
-        return _format_pair(self.rows, self.cols, "{}")
-
-    def __repr__(self) -> str:
-        return f"LaplaceProduct({self.rows!r}, {self.cols!r}, ground={self.ground})"
-
-
 @lru_cache(maxsize=None)
 def _expand_minor(rows: IndexSet, cols: IndexSet) -> Polynomial:
-    """expand_minor on a row and a column set, without the bound check."""
+    """expand_minor on a row and a column set."""
     if len(rows) != len(cols):
         return Polynomial.zero()
     return Polynomial(
@@ -124,10 +85,9 @@ def _expand_minor(rows: IndexSet, cols: IndexSet) -> Polynomial:
     )
 
 
-def expand_minor(minor: Minor, m: int | None = None, n: int | None = None) -> Polynomial:
+def expand_minor(minor: Minor) -> Polynomial:
     """Leibniz expansion of a minor: the signed sum over all bijections from
     its row set to its column set; 1 for ([|]), 0 on a size mismatch."""
-    check_bounds((minor,), m, n)
     return _expand_minor(minor.rows, minor.cols)
 
 
@@ -184,23 +144,23 @@ def _expand_laplace(rows: IndexSet, cols: IndexSet, ground: int) -> Polynomial:
     return (inner * outer) * laplace_sign(rows, cols)
 
 
-def expand_laplace(lp: LaplaceProduct) -> Polynomial:
-    """Signed product of a minor and its complementary minor."""
-    return _expand_laplace(lp.rows, lp.cols, lp.ground)
+def expand_laplace(rows, cols, ground: int) -> Polynomial:
+    """The Laplace product {rows|cols} on a ground x ground matrix: the
+    product of the minor and its complementary minor, with the sign
+    (-1)**(sum rows + sum cols)."""
+    return _expand_laplace(*check_ground(ground, rows, cols), ground)
 
 
-def eval_on_permutation(lp: LaplaceProduct, sigma) -> int:
-    """Value of a Laplace product on the 0/1 matrix with entry 1 at
-    (i, sigma(i)): the sign of sigma if sigma maps the row set onto the
-    column set, 0 otherwise."""
+def eval_on_permutation(rows, cols, sigma) -> int:
+    """Value of the Laplace product {rows|cols} over the ground len(sigma) on
+    the 0/1 matrix with entry 1 at (i, sigma(i)): the sign of sigma if sigma
+    maps the row set onto the column set, 0 otherwise."""
     sigma = tuple(sigma)
-    n = lp.ground
+    n = len(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {sigma!r}")
-    if lp.is_zero:
-        return 0
-    image = {sigma[a - 1] for a in lp.rows}
-    if image != set(lp.cols.elements):
+    rows, cols = check_ground(n, rows, cols)
+    if {sigma[a - 1] for a in rows} != set(cols.elements):
         return 0
     return permutation_sign(sigma)
 

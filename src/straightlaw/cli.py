@@ -19,12 +19,11 @@ from .bideterminants import (
     SIGMA_CHECK_MAX_GROUND,
     Minor,
     WordCombination,
-    check_bounds,
     check_relation,
     format_word,
     relation_family,
 )
-from .independence import Specialization, verify_independence, word_leading_witness
+from .independence import verify_independence, word_leading_witness
 from .polynomials import format_monomial
 from .standard import content, is_standard, normal_form
 
@@ -149,6 +148,17 @@ def parse_expression(text: str) -> WordCombination:
     return WordCombination(_parse_raw(text))
 
 
+def check_bounds(minors, m: int, n: int) -> None:
+    """Raise ValueError at the first minor with a row index above m or a
+    column index above n. The library functions take indices as given; the
+    CLI checks them against the matrix it was told about."""
+    for f in minors:
+        if f.rows and f.rows.elements[-1] > m:
+            raise ValueError(f"row index {f.rows.elements[-1]} exceeds m={m}")
+        if f.cols and f.cols.elements[-1] > n:
+            raise ValueError(f"column index {f.cols.elements[-1]} exceeds n={n}")
+
+
 def _parse_with_dims(text: str, m: int | None, n: int | None) -> tuple[WordCombination, int, int]:
     """Parse an expression against an m x n matrix. A dimension left as None
     becomes the largest index of its kind written anywhere in the
@@ -182,7 +192,7 @@ def build_certificate(text: str, m: int | None, n: int | None) -> dict:
     into a certificate. Verdicts are computed from the expansions and the
     contents, never assumed."""
     comb, m, n = _parse_with_dims(text, m, n)
-    result = normal_form(comb, m, n)
+    result = normal_form(comb)
     oracle_ok, standard_ok = _oracle_and_standard(result, comb)
     contents = [content(word) for word, _ in comb.items()]
     return {
@@ -349,10 +359,11 @@ def _cmd_independence(args) -> int:
 def _cmd_leading(args) -> int:
     comb, m, n = _parse_with_dims(args.expression, args.m, args.n)
     N = args.factor_rank if args.factor_rank is not None else min(m, n)
-    spec = Specialization(m, n, N)
+    if m < 1 or n < 1 or N < 1:
+        raise ValueError(f"dimensions must be >= 1, got {m}x{n} with N={N}")
     entries = []
     for word, coeff in comb.items():
-        witness = word_leading_witness(word, spec)
+        witness = word_leading_witness(word, N)
         entries.append({
             "coeff": coeff,
             "factors": _word_json(word),

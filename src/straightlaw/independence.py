@@ -30,30 +30,19 @@ from .bideterminants import (
 )
 from .straightening import straighten_laplace
 
-
-@dataclass(frozen=True)
-class Specialization:
-    """The factorization X = Y Z of an m x n matrix through inner dimension
-    N, with Y generic m x N in y[i,v] and Z generic N x n in z[j,v]. It
-    records the setting of the leading witnesses, which are monomials in y
-    and z; it performs no substitution."""
-
-    m: int
-    n: int
-    N: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.N < 1:
-            raise ValueError(f"dimensions must be >= 1, got {self.m}x{self.n} with N={self.N}")
+# Largest m and n verify_independence accepts.
+INDEPENDENCE_MAX_DIM = 3
 
 
-def minor_leading_monomial(a: IndexSet, b: IndexSet, spec: Specialization) -> Monomial:
-    """Leading monomial of a substituted minor under the block order:
-    y[a_1,1]...y[a_p,p] * z[b_1,1]...z[b_p,p]."""
+def minor_leading_monomial(a: IndexSet, b: IndexSet, N: int) -> Monomial:
+    """Leading monomial, under the block order, of the minor (a|b) after the
+    substitution X = Y Z through inner dimension N, with Y generic in y[i,v]
+    and Z generic in z[j,v]: y[a_1,1]...y[a_p,p] * z[b_1,1]...z[b_p,p]. No
+    substitution is performed; N only has to be at least p."""
     if len(a) != len(b):
         raise ValueError(f"size mismatch: |{a}| != |{b}|")
-    if spec.N < len(a):
-        raise ValueError(f"need N >= {len(a)}, got N={spec.N}")
+    if N < len(a):
+        raise ValueError(f"need N >= {len(a)}, got N={N}")
     exps: dict = {}
     for v, i in enumerate(a.elements, start=1):
         exps[yvar(i, v)] = 1
@@ -62,12 +51,12 @@ def minor_leading_monomial(a: IndexSet, b: IndexSet, spec: Specialization) -> Mo
     return monomial(exps)
 
 
-def word_leading_witness(word: MinorWord, spec: Specialization) -> Monomial:
+def word_leading_witness(word: MinorWord, N: int) -> Monomial:
     """Product of the factors' leading monomials; for a standard word this is
     the leading monomial of the substituted product."""
     out = MONOMIAL_ONE
     for f in word:
-        out = mul_monomials(out, minor_leading_monomial(f.rows, f.cols, spec))
+        out = mul_monomials(out, minor_leading_monomial(f.rows, f.cols, N))
     return out
 
 
@@ -223,21 +212,18 @@ class IndependenceReport:
         return "\n".join(lines)
 
 
-def verify_independence(m: int, n: int, max_factors: int, N: int | None = None,
-                        dim_bound: int = 3, factor_bound: int = 3) -> IndependenceReport:
+def verify_independence(m: int, n: int, max_factors: int, factor_bound: int = 3) -> IndependenceReport:
     """Enumerate the standard monomials within the given bounds and certify
     their independence two ways: distinct decodable leading witnesses under
-    X = Y Z with N = min(m, n) by default, and an exact integer rank equal to
-    their number."""
-    if m > dim_bound or n > dim_bound:
-        raise ValueError(f"dimensions {m}x{n} exceed the bound {dim_bound}; raise dim_bound to force")
+    X = Y Z with N = min(m, n), and an exact integer rank equal to their
+    number. m and n may not exceed INDEPENDENCE_MAX_DIM."""
+    if m > INDEPENDENCE_MAX_DIM or n > INDEPENDENCE_MAX_DIM:
+        raise ValueError(f"dimensions {m}x{n} exceed the bound {INDEPENDENCE_MAX_DIM}")
     if max_factors > factor_bound:
         raise ValueError(f"max_factors {max_factors} exceeds the bound {factor_bound}; raise factor_bound to force")
     if m < 1 or n < 1 or max_factors < 1:
         raise ValueError("m, n and max_factors must be >= 1")
-    if N is None:
-        N = min(m, n)
-    spec = Specialization(m, n, N)
+    N = min(m, n)
 
     words = standard_words(m, n, max_factors)
     rank = polynomial_rank(expand_word(w) for w in words)
@@ -246,7 +232,7 @@ def verify_independence(m: int, n: int, max_factors: int, N: int | None = None,
     collisions = []
     decode_ok = True
     for w in words:
-        wit = word_leading_witness(w, spec)
+        wit = word_leading_witness(w, N)
         other = witness_of.get(wit)
         if other is not None:
             collisions.append((other, w))

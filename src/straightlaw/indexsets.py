@@ -197,8 +197,3 @@ def subsets(universe: IndexSet | int, size: int | None = None) -> Iterator[Index
     # An IndexSet is an int too: test for it first.
     upper = universe if isinstance(universe, IndexSet) else full_set(universe)
     return subsets_between(EMPTY, upper, size)
-
-
-def supersets(s: IndexSet, n: int, size: int | None = None) -> Iterator[IndexSet]:
-    """All subsets of {1..n} containing s, optionally of a fixed size."""
-    return subsets_between(s, full_set(n), size)

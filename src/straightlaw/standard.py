@@ -8,10 +8,8 @@ from collections import Counter
 
 from .indexsets import leq_pair, multiset_content
 from .bideterminants import (  # expand_word stays importable from here
-    Minor,
     MinorWord,
     WordCombination,
-    check_bounds,
     expand_word,
     word_order,
 )
@@ -42,55 +40,55 @@ def content(word: MinorWord) -> tuple[Counter, Counter]:
 _NF_CACHE: dict[MinorWord, tuple] = {}
 
 
-def normal_form(combination, m: int | None = None, n: int | None = None) -> WordCombination:
+def normal_form(combination: WordCombination) -> WordCombination:
     """Rewrite a combination of minor words so that every word is standard.
 
-    Accepts a WordCombination, a single word (iterable of minors), or a
-    single Minor. The algorithm normalizes the tail of each word first and
-    then repeatedly straightens the leading pair of factors; each rewrite
-    strictly lowers the head in the pair order, so the recursion terminates.
-    The polynomial expansion and the per-term content are preserved.
+    Each word is normalized suffix by suffix, shortest first: the leading
+    pair of factors is straightened repeatedly until the word is standard.
+    Each rewrite strictly lowers the head in the pair order, so the rewriting
+    terminates. The polynomial expansion and the per-term content are
+    preserved. Indices are not checked against any matrix dimensions; the
+    CLI checks its input.
     """
-    if isinstance(combination, Minor):
-        combination = (combination,)
-    if not isinstance(combination, WordCombination):
-        combination = WordCombination({tuple(combination): 1})
-    items = combination.items()
-    check_bounds((f for word, _ in items for f in word), m, n)
     return WordCombination(
-        (out, coeff * inner) for word, coeff in items for out, inner in _normalize(word)
+        (out, coeff * inner) for word, coeff in combination.items() for out, inner in _normalize(word)
     )
 
 
 def _normalize(word: MinorWord) -> tuple:
-    """Normal form of one canonical word as a tuple of (word, coeff)."""
+    """Normal form of one canonical word as a tuple of (word, coeff).
+
+    The word's uncached suffixes are filled in shortest first, in a loop, so
+    the depth of the call stack does not grow with the length of a standard
+    word. The cache holds every suffix of every word it holds.
+    """
     hit = _NF_CACHE.get(word)
     if hit is not None:
         return hit
-    if len(word) <= 1:
-        result = ((word, 1),)
-        _NF_CACHE[word] = result
-        return result
-
-    head = word[0]
-    head_key = (head.rows, head.cols)
-    acc: dict[MinorWord, int] = {}
-    for tail, c1 in _normalize(word[1:]):
-        if not tail:
-            raise RuntimeError(f"the nonempty word {word[1:]} normalized to the unit; this is a bug")
-        lead = tail[0]
-        if leq_pair(head_key, (lead.rows, lead.cols)):
-            out = (head,) + tail
-            acc[out] = acc.get(out, 0) + c1
+    pending = [word]
+    while len(pending[-1]) > 1 and pending[-1][1:] not in _NF_CACHE:
+        pending.append(pending[-1][1:])
+    for word in reversed(pending):  # ends on the word asked for
+        if len(word) <= 1:
+            _NF_CACHE[word] = ((word, 1),)
             continue
-        for pair, c2 in straighten_pair(head, lead).items():
-            # each rewrite strictly lowers the head, which is the measure
-            # that makes the recursion terminate
-            if not (pair and leq_pair((pair[0].rows, pair[0].cols), head_key) and pair[0] != head):
-                raise RuntimeError(f"no strict head drop in straightening {head}{lead}; this is a bug")
-            for out, c3 in _normalize(pair + tail[1:]):
-                acc[out] = acc.get(out, 0) + c1 * c2 * c3
-
-    result = tuple(sorted(nonzero(acc).items(), key=lambda kv: word_order(kv[0])))
-    _NF_CACHE[word] = result
-    return result
+        head = word[0]
+        head_key = (head.rows, head.cols)
+        acc: dict[MinorWord, int] = {}
+        for tail, c1 in _NF_CACHE[word[1:]]:
+            if not tail:
+                raise RuntimeError(f"the nonempty word {word[1:]} normalized to the unit; this is a bug")
+            lead = tail[0]
+            if leq_pair(head_key, (lead.rows, lead.cols)):
+                out = (head,) + tail
+                acc[out] = acc.get(out, 0) + c1
+                continue
+            for pair, c2 in straighten_pair(head, lead).items():
+                # each rewrite strictly lowers the head, which is the measure
+                # that makes the rewriting terminate
+                if not (pair and leq_pair((pair[0].rows, pair[0].cols), head_key) and pair[0] != head):
+                    raise RuntimeError(f"no strict head drop in straightening {head}{lead}; this is a bug")
+                for out, c3 in _normalize(pair + tail[1:]):
+                    acc[out] = acc.get(out, 0) + c1 * c2 * c3
+        _NF_CACHE[word] = tuple(sorted(nonzero(acc).items(), key=lambda kv: word_order(kv[0])))
+    return _NF_CACHE[word]

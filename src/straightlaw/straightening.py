@@ -24,7 +24,6 @@ from .bideterminants import (
     LaplaceCombination,
     Minor,
     WordCombination,
-    check_bounds,
     relation_complementary,
     relation_inclusion_exclusion,
 )
@@ -158,9 +157,8 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
     return tuple(filter(itemgetter(1), acc.items()))
 
 
-def straighten_pair(first: Minor, second: Minor,
-                    m: int | None = None, n: int | None = None) -> WordCombination:
-    """Rewrite a product of two minors of an m x n matrix.
+def straighten_pair(first: Minor, second: Minor) -> WordCombination:
+    """Rewrite a product of two minors.
 
     If (rows1, cols1) <= (rows2, cols2) the product is returned unchanged; if
     either factor is size-mismatched the result is zero. Otherwise both row
@@ -173,9 +171,9 @@ def straighten_pair(first: Minor, second: Minor,
 
     The result is a combination of words of at most two factors: unit
     factors are dropped, as in every WordCombination. Row and column content
-    is preserved per term as multisets.
+    is preserved per term as multisets. Indices are not checked against any
+    matrix dimensions; the CLI checks its input.
     """
-    check_bounds((first, second), m, n)
     if first.is_zero or second.is_zero:
         return WordCombination()
     if leq_pair((first.rows, first.cols), (second.rows, second.cols)):

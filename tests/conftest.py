@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from straightlaw import (
     IndexSet,
-    LaplaceProduct,
     Minor,
     Polynomial,
     eval_on_permutation,
@@ -94,15 +93,15 @@ def evaluate(p: Polynomial, values: dict) -> int:
     return total
 
 
-def binet_cauchy_check(a: IndexSet, b: IndexSet, spec) -> bool:
+def binet_cauchy_check(a: IndexSet, b: IndexSet, N: int) -> bool:
     """Verify on one minor that substituting X = Y Z equals the sum over all
     superscript sets s of Y(a|s) * Z(s|b), both sides expanded independently."""
     right = Polynomial.zero()
-    for s in itertools.combinations(range(1, spec.N + 1), len(a)):
+    for s in itertools.combinations(range(1, N + 1), len(a)):
         y_minor = permutation_sum(a.elements, s, yvar)
         z_minor = permutation_sum(s, b.elements, lambda v, j: zvar(j, v))
         right = right + y_minor * z_minor
-    return substitute(expand_minor(Minor(a, b)), spec.N) == right
+    return substitute(expand_minor(Minor(a, b)), N) == right
 
 
 def masked_determinant(a: IndexSet, b: IndexSet, n: int) -> Polynomial:
@@ -210,8 +209,8 @@ def sigma_reference(rel) -> bool:
     """The permutation criterion written out: for every sigma in S_n, the sum
     of coeff * eval_on_permutation over the terms of rel is zero."""
     n = rel.ground
-    products = [(LaplaceProduct(a, b, n), c) for (a, b), c in rel.items()]
+    terms = rel.items()
     return all(
-        sum(c * eval_on_permutation(lp, sigma) for lp, c in products) == 0
+        sum(c * eval_on_permutation(a, b, sigma) for (a, b), c in terms) == 0
         for sigma in itertools.permutations(range(1, n + 1))
     )

@@ -8,7 +8,6 @@ from contextlib import contextmanager
 from straightlaw import (
     EMPTY,
     IndexSet,
-    LaplaceProduct,
     Minor,
     WordCombination,
     canonicalize,
@@ -82,7 +81,7 @@ def test_laplace_straightening_exhaustive():
         for n in range(1, 5):
             for a, b in _size_matched_pairs(n):
                 combo = straighten_laplace(a, b, n)
-                assert combo.expand() == expand_laplace(LaplaceProduct(a, b, n)), (a, b, n)
+                assert combo.expand() == expand_laplace(a, b, n), (a, b, n)
                 for (u, w), coeff in combo.items():
                     assert coeff != 0
                     assert is_good(u, n) and is_good(w, n), (a, b, u, w)
@@ -191,8 +190,7 @@ def test_foundational_sign_order_merge_properties():
             for a in all_subsets(n):
                 for b in all_subsets(n):
                     if len(a) == len(b):
-                        lp = LaplaceProduct(a, b, n)
-                        assert expand_laplace(lp) == masked_determinant(a, b, n)
+                        assert expand_laplace(a, b, n) == masked_determinant(a, b, n)
 
         rng = random.Random(41)
         for _ in range(500):

@@ -184,15 +184,53 @@ def test_verify_trusts_no_straightener(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, stdin", [
     (("verify",), "[" * 100000 + "]" * 100000),
-    (("straighten", "[1|1]" * 1200), ""),
+    (("straighten", "[2|2]" + "[1|1]" * 1200), ""),
 ], ids=["deeply nested certificate", "word of 1200 factors"])
 def test_over_deep_input_is_a_one_line_error(argv, stdin, monkeypatch, capsys):
-    # json.load and the normal-form recursion both exceed the recursion
-    # limit on these inputs.
+    # json.load exceeds the recursion limit on the nested brackets. The word
+    # is [2|2] in front of 1,200 factors [1|1]: moving [2|2] to the end takes
+    # one straightening per factor, and each one normalizes a word whose tail
+    # is not cached yet, one call deeper.
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_long_standard_word_prints_itself(capsys):
+    # Suffixes are normalized shortest first in a loop, so a standard word
+    # far longer than the recursion limit is its own normal form.
+    word = "[1|1]" * 1200
+    code, out, err = run_cli(capsys, "straighten", word, "--text")
+    assert code == 0 and err == ""
+    assert f"output: {word}\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("straighten", "[3|1]", "--m", "2"), "error: row index 3 exceeds m=2\n"),
+    (("straighten", "[1|3]", "--n", "2"), "error: column index 3 exceeds n=2\n"),
+    (("leading", "[|]", "--N", "0"), "error: dimensions must be >= 1, got 1x1 with N=0\n"),
+    (("leading", "[|]", "--m", "0", "--n", "0"), "error: dimensions must be >= 1, got 0x0 with N=0\n"),
+], ids=["row beyond m", "column beyond n", "N of 0", "m and n of 0"])
+def test_cli_checks_matrix_dimensions(argv, message, capsys):
+    # The library takes indices as given; the CLI checks them against the
+    # matrix it was told about.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err == message
+
+
+@pytest.mark.parametrize("factor, message", [
+    ({"rows": [3], "cols": [1]}, "error: row index 3 exceeds m=2\n"),
+    ({"rows": [1], "cols": [3]}, "error: column index 3 exceeds n=2\n"),
+], ids=["row beyond dims.m", "column beyond dims.n"])
+def test_verify_checks_claimed_terms_against_dims(factor, message, tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "straighten", "[2|1][1|2]")
+    cert = {**json.loads(out), "terms": [{"coeff": 1, "factors": [factor]}]}
+    assert cert["dims"] == {"m": 2, "n": 2}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out == "" and err == message
 
 
 def test_json_and_text_are_exclusive(capsys):
@@ -234,7 +272,7 @@ def test_independence_command(capsys):
 
     code, _, err = run_cli(capsys, "independence", "--m", "5", "--n", "5", "--max-factors", "2")
     assert code == 1
-    assert err == "error: dimensions 5x5 exceed the bound 3; raise dim_bound to force\n"
+    assert err == "error: dimensions 5x5 exceed the bound 3\n"
 
 
 def test_leading_command(capsys):

@@ -7,8 +7,8 @@ from straightlaw import (
     EMPTY,
     IndexSet,
     LaplaceCombination,
-    LaplaceProduct,
     complement,
+    expand_laplace,
     is_good,
     laplace_expansion,
     laplace_sign,
@@ -19,8 +19,8 @@ from straightlaw import (
     straighten_laplace,
     subsets,
     subsets_between,
-    supersets,
 )
+from straightlaw.indexsets import full_set
 
 from conftest import all_subsets, tuple_complement, tuple_is_good, tuple_leq
 
@@ -70,7 +70,7 @@ def test_leq_is_a_partial_order():
 def test_superset_implies_below():
     for n in range(1, 6):
         for t in all_subsets(n):
-            for s in supersets(t, n):
+            for s in subsets_between(t, full_set(n)):
                 assert leq(s, t)
                 if s != t:
                     assert lt(s, t)
@@ -165,8 +165,8 @@ def test_ground_error_messages():
         (lambda: complement(IndexSet([5]), 4), "element 5 exceeds ground bound 4"),
         (lambda: complement(EMPTY, 65), "index 65 exceeds the supported bound 64"),
         (lambda: list(subsets(66)), "index 65 exceeds the supported bound 64"),
-        (lambda: LaplaceProduct([5], [1], 4), "element 5 exceeds ground size 4"),
-        (lambda: LaplaceProduct([1], [1], 65), "ground size must be an integer in 0..64, got 65"),
+        (lambda: expand_laplace([5], [1], 4), "element 5 exceeds ground size 4"),
+        (lambda: expand_laplace([1], [1], 65), "ground size must be an integer in 0..64, got 65"),
         (lambda: LaplaceCombination(-1), "ground size must be an integer in 0..64, got -1"),
         (lambda: LaplaceCombination(2.0), "ground size must be an integer in 0..64, got 2.0"),
         (lambda: LaplaceCombination(4, {((1,), (6,)): 1}), "element 6 exceeds ground size 4"),
@@ -196,9 +196,9 @@ def test_enumeration_keeps_combinations_order():
             free = tuple_complement(t, n)
             want = [tuple(sorted(t + extra)) for r in range(len(free) + 1)
                     for extra in itertools.combinations(free, r)]
-            assert [s.elements for s in supersets(IndexSet(t), n)] == want
+            assert [s.elements for s in subsets_between(IndexSet(t), full_set(n))] == want
             for size in range(len(t), n + 1):
-                assert [s.elements for s in supersets(IndexSet(t), n, size=size)] == [
+                assert [s.elements for s in subsets_between(IndexSet(t), full_set(n), size)] == [
                     w for w in want if len(w) == size
                 ]
             upper = IndexSet(t)

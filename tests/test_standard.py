@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from straightlaw import (
     EMPTY,
     Minor,
@@ -68,17 +66,6 @@ def test_normal_form_single_factors_are_standard():
         for j in (1, 2):
             w = (Minor([i], [j]),)
             assert normal_form(WordCombination({w: 1})) == WordCombination({w: 1})
-
-
-def test_normal_form_accepts_words_and_minors():
-    f = Minor([1], [1])
-    assert normal_form(f) == WordCombination({(f,): 1})
-    assert normal_form((f, Minor([2], [2]))) == WordCombination({(f, Minor([2], [2])): 1})
-
-
-def test_normal_form_bounds():
-    with pytest.raises(ValueError):
-        normal_form(WordCombination({(Minor([3], [1]),): 1}), m=2, n=2)
 
 
 def test_normal_form_exhaustive_two_factor_words_2x2():

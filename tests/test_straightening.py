@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from straightlaw import (
     EMPTY,
     IndexSet,
-    LaplaceProduct,
     Minor,
     WordCombination,
     expand_laplace,
@@ -87,12 +86,12 @@ def test_straighten_laplace_identity_on_good_pairs():
 def test_straighten_laplace_bad_singleton():
     combo = straighten_laplace(IndexSet([2]), IndexSet([2]), 2)
     assert combo.items() == [((IndexSet([1]), IndexSet([1])), 1)]
-    assert combo.expand() == expand_laplace(LaplaceProduct([2], [2], 2))
+    assert combo.expand() == expand_laplace([2], [2], 2)
 
 
 def test_straighten_laplace_corner_n3():
     combo = straighten_laplace(IndexSet([3]), IndexSet([3]), 3)
-    assert combo.expand() == expand_laplace(LaplaceProduct([3], [3], 3))
+    assert combo.expand() == expand_laplace([3], [3], 3)
     for (a, b), _ in combo.items():
         assert is_good(a, 3) and is_good(b, 3)
         assert leq(a, IndexSet([3])) and leq(b, IndexSet([3]))
@@ -172,7 +171,7 @@ def test_straighten_laplace_exhaustive_small():
             for a in (s for s in all_subsets(n) if len(s) == k):
                 for b in (s for s in all_subsets(n) if len(s) == k):
                     combo = straighten_laplace(a, b, n)
-                    assert combo.expand() == expand_laplace(LaplaceProduct(a, b, n))
+                    assert combo.expand() == expand_laplace(a, b, n)
                     for (u, w), coeff in combo.items():
                         assert is_good(u, n) and is_good(w, n)
                         assert leq(u, a) and leq(w, b)
@@ -202,16 +201,11 @@ def test_straighten_pair_zero_factor():
     assert not straighten_pair(Minor([1], [1, 2]), Minor([1], [1]))
 
 
-def test_straighten_pair_bounds():
-    with pytest.raises(ValueError):
-        straighten_pair(Minor([3], [1]), Minor([1], [1]), m=2, n=2)
-
-
 def test_straighten_pair_exhaustive_2x3():
     minors = size_matched_minors(2, 3)
     for f1 in minors:
         for f2 in minors:
-            out = straighten_pair(f1, f2, m=2, n=3)
+            out = straighten_pair(f1, f2)
             assert out.expand() == expand_minor(f1) * expand_minor(f2), (f1, f2)
             rows_content = multiset_content([f1.rows, f2.rows])
             cols_content = multiset_content([f1.cols, f2.cols])
@@ -231,7 +225,7 @@ def test_straighten_pair_random_3x4():
     minors = size_matched_minors(3, 4)
     for _ in range(300):
         f1, f2 = rng.choice(minors), rng.choice(minors)
-        out = straighten_pair(f1, f2, m=3, n=4)
+        out = straighten_pair(f1, f2)
         assert out.expand() == expand_minor(f1) * expand_minor(f2), (f1, f2)
         rows_content = multiset_content([f1.rows, f2.rows])
         cols_content = multiset_content([f1.cols, f2.cols])

@@ -35,7 +35,7 @@ def test_head_drop_is_checked(monkeypatch):
     monkeypatch.setattr(standard, "_NF_CACHE", {})
     monkeypatch.setattr(standard, "straighten_pair", lambda f, g: WordCombination({(f, g): 1}))
     with pytest.raises(RuntimeError, match="no strict head drop"):
-        normal_form((Minor([2], [1]), Minor([1], [2])))
+        normal_form(WordCombination({(Minor([2], [1]), Minor([1], [2])): 1}))
 
 
 def test_invariant_checks_survive_python_O():
