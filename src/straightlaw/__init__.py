@@ -63,6 +63,16 @@ from .independence import (
     verify_relation_completeness,
     word_leading_witness,
 )
-from .cli import parse_expression
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI module, and parse_expression from it, load on first use, so that
+    # `python -m straightlaw.cli` does not find that module imported already.
+    if name in ("cli", "parse_expression"):
+        from importlib import import_module
+
+        cli = import_module(".cli", __name__)
+        return cli if name == "cli" else cli.parse_expression
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

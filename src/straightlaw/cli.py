@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from math import factorial, prod
 
 from .indexsets import IndexSet
 from .bideterminants import (
@@ -29,6 +30,11 @@ from .standard import content, is_standard, normal_form
 
 CERT_SCHEMA = "straightlaw-cert/1"
 ORACLE_MAX_GROUND = 4
+# Largest oracle cost, in monomial products, that straighten and verify accept
+# for the input and for the claimed terms (see _check_oracle_cost). A certify
+# request costs at most 2 x 24**3 = 27,648; the product of two 6x6 minors,
+# 518,400, expands in about 1.3 s; two 7x7 minors would cost 25,401,600.
+ORACLE_MAX_TERMS = 1_000_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,18 +165,41 @@ def check_bounds(minors, m: int, n: int) -> None:
             raise ValueError(f"column index {f.cols.elements[-1]} exceeds n={n}")
 
 
-def _parse_with_dims(text: str, m: int | None, n: int | None) -> tuple[WordCombination, int, int]:
+def check_dims(m: int, n: int, N: int | None = None) -> None:
+    """Raise ValueError unless the m x n matrix and the inner dimension N of
+    its factorization (default min(m, n)) are all at least 1."""
+    if N is None:
+        N = min(m, n)
+    if m < 1 or n < 1 or N < 1:
+        raise ValueError(f"dimensions must be >= 1, got {m}x{n} with N={N}")
+
+
+def _parse_with_dims(text: str, m: int | None, n: int | None,
+                     N: int | None = None) -> tuple[WordCombination, int, int]:
     """Parse an expression against an m x n matrix. A dimension left as None
     becomes the largest index of its kind written anywhere in the
-    expression, zero words and unit factors included, and at least 1."""
+    expression, zero words and unit factors included, and at least 1. The
+    dimensions, with the inner dimension N when given, go through
+    check_dims."""
     raw = _parse_raw(text)
     factors = [f for word, _ in raw for f in word]
     if m is None:
         m = max((f.rows.elements[-1] for f in factors if f.rows), default=1)
     if n is None:
         n = max((f.cols.elements[-1] for f in factors if f.cols), default=1)
+    check_dims(m, n, N)
     check_bounds(factors, m, n)
     return WordCombination(raw), m, n
+
+
+def _check_oracle_cost(comb: WordCombination, what: str) -> None:
+    """Refuse a combination whose expansion would take the oracle more than
+    ORACLE_MAX_TERMS monomial products: a k x k minor expands to k! terms,
+    so a word costs the product of its factors' k!."""
+    cost = sum(prod(factorial(len(f.rows)) for f in word) for word, _ in comb.items())
+    if cost > ORACLE_MAX_TERMS:
+        raise ValueError(f"{what} would take the oracle {cost} monomial products, "
+                         f"above the limit {ORACLE_MAX_TERMS}")
 
 
 def _word_json(word) -> list:
@@ -192,6 +221,7 @@ def build_certificate(text: str, m: int | None, n: int | None) -> dict:
     into a certificate. Verdicts are computed from the expansions and the
     contents, never assumed."""
     comb, m, n = _parse_with_dims(text, m, n)
+    _check_oracle_cost(comb, "the input")
     result = normal_form(comb)
     oracle_ok, standard_ok = _oracle_and_standard(result, comb)
     contents = [content(word) for word, _ in comb.items()]
@@ -228,6 +258,7 @@ def certificate_combination(cert) -> WordCombination:
     dims = cert["dims"]
     if not isinstance(dims, dict) or any(type(dims.get(k)) is not int for k in ("m", "n")):
         raise ValueError("certificate field 'dims' does not hold integers m and n")
+    check_dims(dims["m"], dims["n"])
     if not isinstance(cert["terms"], list):
         raise ValueError("certificate field 'terms' is not a list")
     claimed = []
@@ -266,6 +297,8 @@ def _cmd_verify(args) -> int:
         cert = json.load(sys.stdin)
     claimed = certificate_combination(cert)
     comb, _, _ = _parse_with_dims(cert["input"], cert["dims"]["m"], cert["dims"]["n"])
+    _check_oracle_cost(comb, "the input")
+    _check_oracle_cost(claimed, "the claimed terms")
 
     oracle_ok, standard_ok = _oracle_and_standard(claimed, comb)
     # Standard monomials are linearly independent, so a standard combination
@@ -357,10 +390,8 @@ def _cmd_independence(args) -> int:
 
 
 def _cmd_leading(args) -> int:
-    comb, m, n = _parse_with_dims(args.expression, args.m, args.n)
+    comb, m, n = _parse_with_dims(args.expression, args.m, args.n, args.factor_rank)
     N = args.factor_rank if args.factor_rank is not None else min(m, n)
-    if m < 1 or n < 1 or N < 1:
-        raise ValueError(f"dimensions must be >= 1, got {m}x{n} with N={N}")
     entries = []
     for word, coeff in comb.items():
         witness = word_leading_witness(word, N)

@@ -6,8 +6,12 @@ order."""
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cache
+from itertools import compress
 
 from .indexsets import (
     IndexSet,
@@ -68,11 +72,64 @@ def merge_map(u1: IndexSet, u2: IndexSet) -> MergeMap:
     return MergeMap(len(tagged), values, first, second)
 
 
-# Straightening results, keyed by (rows, cols, ground): tuples of
-# (pair code, coefficient), where the good pair (u, w) at ground n has the
-# code u | w << n. The poset of pairs is finite, so the cache is bounded; same
-# key always maps to the same tuple.
-_STRAIGHTEN_CACHE: dict[tuple[IndexSet, IndexSet, int], tuple] = {}
+# Straightening results, keyed by (rows, cols, ground): (packed, maxabs).
+# packed is the int sum of coeff * 2**(64 * slot) over the result's good pairs,
+# each a signed 64-bit field, and maxabs is the largest |coeff|. Slots are
+# numbered per ground in the order good pairs are first reached, so a
+# registry grows with the pairs reached, never with the ground's Catalan
+# number of good pairs. Summing packed ints adds whole results in one big-int
+# operation; a sum decodes exactly while every field stays below 2**63 in
+# absolute value, which _eliminate checks before it stores one. The poset of
+# pairs is finite, so the cache is bounded; same key always maps to the same
+# entry. Entries index into _SLOTS, which must never be cleared on its own.
+_STRAIGHTEN_CACHE: dict[tuple[IndexSet, IndexSet, int], tuple[int, int]] = {}
+
+# ground -> (pair code -> slot, slot -> pair code); the good pair (u, w) at
+# ground n has the code u | w << n.
+_SLOTS: defaultdict[int, tuple[dict[int, int], list[int]]] = defaultdict(lambda: ({}, []))
+
+_FIELD = 64
+_FIELD_LIMIT = 1 << (_FIELD - 1)
+
+
+@cache
+def _offset(k: int) -> int:
+    """2**63 in each of k fields: adding it makes every signed field
+    non-negative, and xor-ing it back leaves each field's two's complement."""
+    return ((1 << _FIELD * k) - 1) // ((1 << _FIELD) - 1) << (_FIELD - 1)
+
+
+def _slot(code: int, n: int) -> int:
+    slot_of, codes = _SLOTS[n]
+    slot = slot_of.get(code)
+    if slot is None:
+        slot = slot_of[code] = len(codes)
+        codes.append(code)
+    return slot
+
+
+def _coefficients(packed: int, n: int) -> array:
+    """The signed coefficient in each of the ground's slots."""
+    k = len(_SLOTS[n][1])
+    off = _offset(k)
+    return array("q", ((packed + off) ^ off).to_bytes(8 * k, sys.byteorder))
+
+
+def _terms(packed: int, n: int):
+    """The (pair code, coeff) terms of a packed result, in slot order."""
+    coeffs = _coefficients(packed, n)
+    return compress(zip(_SLOTS[n][1], coeffs), coeffs)
+
+
+def _encode(terms, n: int) -> int:
+    """The packed int of (pair code, coeff) terms, each |coeff| < 2**63."""
+    fields = [(_slot(code, n), coeff) for code, coeff in terms]
+    k = len(_SLOTS[n][1])
+    coeffs = array("q", bytes(8 * k))
+    for slot, coeff in fields:
+        coeffs[slot] = coeff
+    off = _offset(k)
+    return (int.from_bytes(coeffs, sys.byteorder) ^ off) - off
 
 
 def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
@@ -88,17 +145,17 @@ def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
         return LaplaceCombination(n)
     full = (1 << n) - 1
     return LaplaceCombination._from_canonical(
-        n, (((from_mask(p & full), from_mask(p >> n)), c) for p, c in _straighten(a, b, n)))
+        n, (((from_mask(p & full), from_mask(p >> n)), c) for p, c in _terms(_straighten(a, b, n)[0], n)))
 
 
-def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple:
+def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
     key = (a, b, n)
     hit = _STRAIGHTEN_CACHE.get(key)
     if hit is not None:
         return hit
 
     if is_good(a, n) and is_good(b, n):
-        result = ((a | b << n, 1),)
+        result = (1 << _FIELD * _slot(a | b << n, n), 1)
     elif 2 * len(a) < n:
         # Small pairs: the alternating superset relation contains the target
         # once, and every other stored term is strictly below in both
@@ -125,36 +182,57 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple:
         # the coordinates back (a Laplace product is symmetric under
         # transposition together with swapping its index sets).
         full = (1 << n) - 1
-        result = tuple(((p >> n) | (p & full) << n, coeff) for p, coeff in _straighten(b, a, n))
+        packed, maxabs = _straighten(b, a, n)
+        result = (_encode((((p >> n) | (p & full) << n, c) for p, c in _terms(packed, n)), n), maxabs)
 
     _STRAIGHTEN_CACHE[key] = result
     return result
 
 
 def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
-               require_row_drop: bool):
+               require_row_drop: bool) -> tuple[int, int]:
     """Solve a vanishing combination for its (a, b) term and recurse on the
-    remaining terms, which must sit strictly lower in the order. The sums
-    are keyed by pair code, so the work grows with the pairs reached, not
-    with the ground."""
+    remaining terms, which must sit strictly lower in the order. Each term
+    adds its packed result whole, so the work per term is one big-int
+    operation, whatever the size of that result."""
     eps = rel.coefficient(a, b)
     if eps not in (1, -1):
         raise RuntimeError(
             f"target {a}|{b} does not appear with unit coefficient in {rel}; this is a bug"
         )
-    acc: dict = {}
-    get = acc.get
+    row_drops: dict = {}
+    col_drops: dict = {}
+    acc = bound = 0
     for (u, w), coeff in rel._terms.items():
         if u == a and w == b:
             continue
         # Strict decrease in the pair order at every recursion edge is what
-        # makes the recursion terminate.
-        if not ((lt(u, a) if require_row_drop else leq(u, a)) and lt(w, b)):
+        # makes the recursion terminate. Relations repeat their row and
+        # column sets, so each is compared once.
+        row_drop = row_drops.get(u)
+        if row_drop is None:
+            row_drop = row_drops[u] = lt(u, a) if require_row_drop else leq(u, a)
+        col_drop = col_drops.get(w)
+        if col_drop is None:
+            col_drop = col_drops[w] = lt(w, b)
+        if not (row_drop and col_drop):
             raise RuntimeError(f"no strict drop from {a}|{b} to {u}|{w}; this is a bug")
+        packed, maxabs = _straighten(u, w, n)
         scale = -eps * coeff
-        for p, inner in _straighten(u, w, n):
-            acc[p] = get(p, 0) + scale * inner
-    return tuple(filter(itemgetter(1), acc.items()))
+        if scale == 1:
+            acc += packed
+        elif scale == -1:
+            acc -= packed
+        else:
+            acc += scale * packed
+        bound += abs(scale) * maxabs
+    if bound >= _FIELD_LIMIT:
+        raise RuntimeError(
+            f"coefficients straightening {a}|{b} may reach {bound}, "
+            f"beyond the packed 64-bit fields"
+        )
+    coeffs = _coefficients(acc, n)
+    return acc, max(max(coeffs, default=0), -min(coeffs, default=0))
 
 
 def straighten_pair(first: Minor, second: Minor) -> WordCombination:

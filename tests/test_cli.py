@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,56 @@ def test_verify_checks_claimed_terms_against_dims(factor, message, tmp_path, cap
     assert code == 1 and out == "" and err == message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("straighten", "[|]", "--m", "-5", "--n", "-2", "--text"),
+     "error: dimensions must be >= 1, got -5x-2 with N=-5\n"),
+    (("straighten", "[1|1]", "--m", "0"), "error: dimensions must be >= 1, got 0x1 with N=0\n"),
+], ids=["negative m and n", "m of 0"])
+def test_straighten_refuses_dimensions_below_1(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err == message
+
+
+def test_verify_refuses_certificate_dims_below_1(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "straighten", "[|]")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**json.loads(out), "dims": {"m": 0, "n": 1}}))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: dimensions must be >= 1, got 0x1 with N=0\n"
+
+
+def test_oracle_limit_refuses_the_7x7_pair_at_once(capsys):
+    # Expanding two 7x7 minors would take 5040**2 monomial products.
+    minor = "[1 2 3 4 5 6 7|1 2 3 4 5 6 7]"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "straighten", minor * 2)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == ""
+    assert err == (f"error: the input would take the oracle {5040 ** 2} monomial products, "
+                   f"above the limit {cli.ORACLE_MAX_TERMS}\n")
+
+
+def test_oracle_limit_admits_the_6x6_pair(capsys):
+    assert 720 ** 2 <= cli.ORACLE_MAX_TERMS
+    minor = "[1 2 3 4 5 6|1 2 3 4 5 6]"
+    code, out, _ = run_cli(capsys, "straighten", minor * 2, "--text")
+    assert code == 0 and f"output: {minor * 2}\n" in out
+
+
+def test_oracle_limit_covers_claimed_terms(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "straighten", "[1|1]")
+    seven = list(range(1, 8))
+    factor = {"rows": seven, "cols": seven}
+    cert = {**json.loads(out), "dims": {"m": 7, "n": 7},
+            "terms": [{"coeff": 1, "factors": [factor, factor]}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: the claimed terms would take the oracle ")
+
+
 def test_json_and_text_are_exclusive(capsys):
     code, out, err = run_cli(capsys, "straighten", "[1|1]", "--json", "--text")
     assert code == 1 and out == "" and "not allowed with" in err
@@ -302,3 +353,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["oracleVerified"] is True
+
+
+def test_module_entry_point_writes_no_warning():
+    # The package resolves parse_expression lazily, so running the CLI module
+    # does not find it imported already (runpy would warn on stderr).
+    proc = subprocess.run(
+        [sys.executable, "-m", "straightlaw.cli", "straighten", "[|]"],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

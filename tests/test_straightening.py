@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,6 +24,7 @@ from straightlaw import (
     multiset_content,
     straighten_laplace,
     straighten_pair,
+    straightening,
 )
 
 from conftest import all_subsets, size_matched_minors
@@ -176,6 +181,61 @@ def test_straighten_laplace_exhaustive_small():
                         assert is_good(u, n) and is_good(w, n)
                         assert leq(u, a) and leq(w, b)
                         assert coeff != 0
+
+
+def _size_matched_pairs(n: int) -> list:
+    subsets = all_subsets(n)
+    return [(a, b) for a in subsets for b in subsets if len(a) == len(b)]
+
+
+def test_straighten_laplace_survives_a_cleared_cache(monkeypatch):
+    # Results are summed as packed ints over per-ground slot registries that
+    # outlive the cache; a fresh cache must rebuild the same combinations.
+    pairs = _size_matched_pairs(5)
+    before = [straighten_laplace(a, b, 5) for a, b in pairs]
+    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
+    half = len(pairs) // 2
+    after = [straighten_laplace(a, b, 5) for a, b in pairs[:half]]
+    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
+    after += [straighten_laplace(a, b, 5) for a, b in pairs[half:]]
+    assert after == before
+
+
+_SWEEP_N5 = """
+import itertools, sys
+from straightlaw import IndexSet, straighten_laplace
+subsets = [IndexSet(c) for r in range(6) for c in itertools.combinations(range(1, 6), r)]
+pairs = [(a, b) for a in subsets for b in subsets if len(a) == len(b)]
+order = pairs[::-1] if sys.argv[1] == "reverse" else pairs
+results = {pair: straighten_laplace(*pair, 5).items() for pair in order}
+print([results[pair] for pair in pairs])
+"""
+
+
+def test_straighten_laplace_does_not_depend_on_slot_order():
+    # Slots are numbered in the order good pairs are first reached, so a
+    # sweep in reverse order numbers them differently; the results match.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    outputs = [
+        subprocess.run([sys.executable, "-c", _SWEEP_N5, order], capture_output=True,
+                       text=True, check=True, env=env).stdout
+        for order in ("forward", "reverse")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == str([straighten_laplace(a, b, 5).items() for a, b in _size_matched_pairs(5)]) + "\n"
+
+
+def test_straighten_laplace_transposed_branch_is_the_swapped_transpose():
+    # Only the row set bad, on a pair that is not small: the result is the
+    # straightening of the transpose with each pair's sets swapped back.
+    checked = 0
+    for n in range(1, 7):
+        for a, b in _size_matched_pairs(n):
+            if 2 * len(a) >= n and is_good(b, n) and not is_good(a, n):
+                swapped = sorted(((w, u), c) for (u, w), c in straighten_laplace(b, a, n).items())
+                assert sorted(straighten_laplace(a, b, n).items()) == swapped
+                checked += 1
+    assert checked > 100
 
 
 def _pair_key(f):

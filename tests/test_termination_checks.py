@@ -31,6 +31,21 @@ def test_strict_drop_is_checked(monkeypatch):
         straighten_laplace(IndexSet([1]), IndexSet([2]), 3)
 
 
+def test_packed_bound_is_checked(monkeypatch):
+    # Straightening sums results as 64-bit fields of one int; a sum whose
+    # coefficients might reach 2**63 cannot be decoded exactly and must be
+    # refused, here forced by inflating the cached bounds of the inputs.
+    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
+    a, n = IndexSet([3]), 3
+    straighten_laplace(a, a, n)
+    cache = straightening._STRAIGHTEN_CACHE
+    del cache[(a, a, n)]
+    for key, (packed, _) in cache.items():
+        cache[key] = (packed, 2 ** 62)
+    with pytest.raises(RuntimeError, match="64-bit"):
+        straighten_laplace(a, a, n)
+
+
 def test_head_drop_is_checked(monkeypatch):
     monkeypatch.setattr(standard, "_NF_CACHE", {})
     monkeypatch.setattr(standard, "straighten_pair", lambda f, g: WordCombination({(f, g): 1}))
@@ -39,7 +54,8 @@ def test_head_drop_is_checked(monkeypatch):
 
 
 def test_invariant_checks_survive_python_O():
-    tests = [f"{__file__}::test_strict_drop_is_checked", f"{__file__}::test_head_drop_is_checked"]
+    tests = [f"{__file__}::{name}" for name in (
+        "test_strict_drop_is_checked", "test_packed_bound_is_checked", "test_head_drop_is_checked")]
     # No test here uses hypothesis, whose pytest plugin takes seconds to import.
     plugins = ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
     proc = subprocess.run(
@@ -47,4 +63,4 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, cwd=Path(__file__).parent.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
+    assert "3 passed" in proc.stdout
