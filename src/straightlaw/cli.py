@@ -33,7 +33,8 @@ ORACLE_MAX_GROUND = 4
 # Largest oracle cost, in monomial products, that straighten and verify accept
 # for the input and for the claimed terms (see _check_oracle_cost). A certify
 # request costs at most 2 x 24**3 = 27,648; the product of two 6x6 minors,
-# 518,400, expands in about 1.3 s; two 7x7 minors would cost 25,401,600.
+# 518,400, straightens and verifies in about 2 s on a 2-core x86-64 VM; two
+# 7x7 minors would cost 25,401,600.
 ORACLE_MAX_TERMS = 1_000_000
 
 EXIT_OK = 0

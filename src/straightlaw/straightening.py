@@ -144,8 +144,9 @@ def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
     if len(a) != len(b):
         return LaplaceCombination(n)
     full = (1 << n) - 1
+    terms = _terms(_straighten(a, b, n)[0], n)
     return LaplaceCombination._from_canonical(
-        n, (((from_mask(p & full), from_mask(p >> n)), c) for p, c in _terms(_straighten(a, b, n)[0], n)))
+        n, (((from_mask(p & full), from_mask(p >> n)), c) for p, c in terms))
 
 
 def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
@@ -183,7 +184,8 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
         # transposition together with swapping its index sets).
         full = (1 << n) - 1
         packed, maxabs = _straighten(b, a, n)
-        result = (_encode((((p >> n) | (p & full) << n, c) for p, c in _terms(packed, n)), n), maxabs)
+        swapped = (((p >> n) | (p & full) << n, c) for p, c in _terms(packed, n))
+        result = (_encode(swapped, n), maxabs)
 
     _STRAIGHTEN_CACHE[key] = result
     return result

