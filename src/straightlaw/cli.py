@@ -492,7 +492,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:  # over-deep JSON, or a word too long to normalize
+    except RecursionError:  # deeply nested JSON
         print("error: input nested too deeply or too long to process", file=sys.stderr)
         return EXIT_USAGE
 

@@ -237,6 +237,7 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
     return acc, max(max(coeffs, default=0), -min(coeffs, default=0))
 
 
+@cache
 def straighten_pair(first: Minor, second: Minor) -> WordCombination:
     """Rewrite a product of two minors.
 
@@ -252,7 +253,8 @@ def straighten_pair(first: Minor, second: Minor) -> WordCombination:
     The result is a combination of words of at most two factors: unit
     factors are dropped, as in every WordCombination. Row and column content
     is preserved per term as multisets. Indices are not checked against any
-    matrix dimensions; the CLI checks its input.
+    matrix dimensions; the CLI checks its input. Results are cached per pair
+    of minors, so every caller shares one result object: do not modify it.
     """
     if first.is_zero or second.is_zero:
         return WordCombination()

@@ -50,14 +50,45 @@ expressions = st.one_of(
 )
 
 
-@given(expressions)
-@settings(max_examples=150, deadline=None)
-def test_straighten_random_expressions(text):
-    code, out, err = run(["straighten", "--", text])
+# Long words on a 2x2 matrix: up to 30 factors of size at most 1 and at most
+# three 2x2 factors, so the oracle cost stays at most 2**3, far under
+# ORACLE_MAX_TERMS, and every word reaches the straightening.
+small_factors = st.sampled_from(["[|]", "[1|1]", "[1|2]", "[2|1]", "[2|2]"])
+long_words = st.tuples(
+    st.integers(1, 30).flatmap(lambda k: st.lists(small_factors, min_size=k, max_size=k)),
+    st.lists(st.just("[1 2|1 2]"), max_size=3),
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1])).map("".join)
+# Indices at and just past MAX_GROUND (64), next to small ones, with the
+# dimensions inferred or given.
+edge_indices = st.lists(st.sampled_from([1, 2, 63, 64, 65]), max_size=2, unique=True)
+edge_words = st.lists(st.builds(_factor, edge_indices, edge_indices), min_size=1, max_size=3).map("".join)
+edge_dims = st.sampled_from([[], ["--m", "64"], ["--n", "65"], ["--m", "65", "--n", "63"]])
+
+
+def assert_straightens_cleanly(text, *flags):
+    code, out, err = run(["straighten", *flags, "--", text])
     assert_clean_exit(code, err)
     if code == 0:
         code, out, err = run(["verify"], stdin=out)
         assert (code, err) == (0, "") and json.loads(out)["verified"] is True
+
+
+@given(expressions)
+@settings(max_examples=150, deadline=None)
+def test_straighten_random_expressions(text):
+    assert_straightens_cleanly(text)
+
+
+@given(long_words)
+@settings(max_examples=30, deadline=None)
+def test_straighten_long_words(text):
+    assert_straightens_cleanly(text)
+
+
+@given(edge_words, edge_dims)
+@settings(max_examples=60, deadline=None)
+def test_straighten_indices_at_the_ground_bound(text, dims):
+    assert_straightens_cleanly(text, *dims)
 
 
 KEYS = ["schema", "input", "dims", "m", "n", "terms", "coeff", "factors", "rows", "cols", "x"]

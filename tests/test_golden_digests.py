@@ -3,7 +3,10 @@
 tests/data/golden_digests.json holds a SHA-256 digest per ground size of
   - straighten_laplace over every size-matched pair, terms in items() order;
   - relation_family over all four families, each instance's label and its
-    sorted terms, in the order the generator yields them.
+    sorted terms, in the order the generator yields them;
+  - normal_form of every two-factor word on a 3x3 matrix (the unit minor
+    included) and of a seeded batch of 3- to 6-factor words on 4x4, terms in
+    items() order.
 A change that is meant to keep the library's behaviour must leave every digest
 unchanged; a deliberate output change re-records the file with
 `PYTHONPATH=src python tests/test_golden_digests.py`.
@@ -11,17 +14,27 @@ unchanged; a deliberate output change re-records the file with
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from straightlaw import RELATION_FAMILIES, relation_family, straighten_laplace
+from straightlaw import (
+    RELATION_FAMILIES,
+    WordCombination,
+    normal_form,
+    relation_family,
+    straighten_laplace,
+)
+from straightlaw.bideterminants import word_order
 
-from conftest import all_subsets
+from conftest import all_subsets, size_matched_minors
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 STRAIGHTEN_GROUNDS = range(0, 7)
 RELATION_GROUNDS = range(1, 6)
+# Words per length in the seeded 4x4 batch; 6-factor words dominate the time.
+NF_WORDS_PER_LENGTH = 16
 
 
 def _digest(lines) -> str:
@@ -49,6 +62,27 @@ def relations_digest(n: int) -> str:
     )
 
 
+def _normal_form_words(batch: str) -> list:
+    if batch == "3x3 pairs":
+        minors = size_matched_minors(3, 3)
+        return [(f, g) for f in minors for g in minors]
+    rng = random.Random(15)
+    minors = size_matched_minors(4, 4, include_unit=False)
+    return [tuple(rng.choice(minors) for _ in range(k))
+            for k in range(3, 7) for _ in range(NF_WORDS_PER_LENGTH)]
+
+
+NF_BATCHES = ("3x3 pairs", "4x4 words")
+
+
+def normal_form_digest(batch: str) -> str:
+    return _digest(
+        f"{word_order(word)}: "
+        f"{[(word_order(w), c) for w, c in normal_form(WordCombination({word: 1})).items()]}"
+        for word in _normal_form_words(batch)
+    )
+
+
 def _recorded() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -63,8 +97,14 @@ def test_relation_family_digest(n):
     assert relations_digest(n) == _recorded()["relation_family"][str(n)]
 
 
+@pytest.mark.parametrize("batch", NF_BATCHES)
+def test_normal_form_digest(batch):
+    assert normal_form_digest(batch) == _recorded()["normal_form"][batch]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({
         "straighten_laplace": {str(n): straighten_digest(n) for n in STRAIGHTEN_GROUNDS},
         "relation_family": {str(n): relations_digest(n) for n in RELATION_GROUNDS},
+        "normal_form": {batch: normal_form_digest(batch) for batch in NF_BATCHES},
     }, indent=1) + "\n")
