@@ -6,7 +6,9 @@ tests/data/golden_digests.json holds a SHA-256 digest per ground size of
     sorted terms, in the order the generator yields them;
   - normal_form of every two-factor word on a 3x3 matrix (the unit minor
     included) and of a seeded batch of 3- to 6-factor words on 4x4, terms in
-    items() order.
+    items() order;
+  - straighten_pair of every ordered pair of nonzero minors of a 3x3 and of a
+    4x4 matrix (the unit minor excluded), terms in items() order.
 A change that is meant to keep the library's behaviour must leave every digest
 unchanged; a deliberate output change re-records the file with
 `PYTHONPATH=src python tests/test_golden_digests.py`.
@@ -25,6 +27,7 @@ from straightlaw import (
     normal_form,
     relation_family,
     straighten_laplace,
+    straighten_pair,
 )
 from straightlaw.bideterminants import word_order
 
@@ -83,6 +86,18 @@ def normal_form_digest(batch: str) -> str:
     )
 
 
+PAIR_SIZES = (3, 4)
+
+
+def straighten_pair_digest(n: int) -> str:
+    minors = size_matched_minors(n, n, include_unit=False)
+    return _digest(
+        f"{word_order((f, g))}: "
+        f"{[(word_order(w), c) for w, c in straighten_pair(f, g).items()]}"
+        for f in minors for g in minors
+    )
+
+
 def _recorded() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -102,9 +117,15 @@ def test_normal_form_digest(batch):
     assert normal_form_digest(batch) == _recorded()["normal_form"][batch]
 
 
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_straighten_pair_digest(n):
+    assert straighten_pair_digest(n) == _recorded()["straighten_pair"][str(n)]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({
         "straighten_laplace": {str(n): straighten_digest(n) for n in STRAIGHTEN_GROUNDS},
         "relation_family": {str(n): relations_digest(n) for n in RELATION_GROUNDS},
         "normal_form": {batch: normal_form_digest(batch) for batch in NF_BATCHES},
+        "straighten_pair": {str(n): straighten_pair_digest(n) for n in PAIR_SIZES},
     }, indent=1) + "\n")
