@@ -6,6 +6,7 @@ relation families the straightening algorithms consume."""
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Iterator, Tuple
 
@@ -28,19 +29,21 @@ from .polynomials import Combination, Polynomial, monomial, nonzero, xvar
 SIGMA_CHECK_MAX_GROUND = 8
 
 
-class Minor:
+class Minor(namedtuple("Minor", ("rows", "cols"))):
     """The minor with row set A and column set B of a generic matrix.
 
-    When |A| != |B| the minor denotes the zero element; ([|]) with both sets
-    empty denotes the constant 1.
+    A minor is the plain (rows, cols) tuple of its two index sets: it equals
+    that tuple and hashes like it, so the pair order (leq_pair) takes it as
+    it is. Other iterables are converted to IndexSets. When |A| != |B| the
+    minor denotes the zero element; ([|]) with both sets empty denotes the
+    constant 1.
     """
 
-    __slots__ = ("rows", "cols", "_hash")
+    __slots__ = ()
 
-    def __init__(self, rows, cols):
-        self.rows = rows if isinstance(rows, IndexSet) else IndexSet(rows)
-        self.cols = cols if isinstance(cols, IndexSet) else IndexSet(cols)
-        self._hash = hash((self.rows, self.cols))
+    def __new__(cls, rows, cols):
+        return tuple.__new__(cls, (rows if isinstance(rows, IndexSet) else IndexSet(rows),
+                                   cols if isinstance(cols, IndexSet) else IndexSet(cols)))
 
     @property
     def is_zero(self) -> bool:
@@ -51,15 +54,8 @@ class Minor:
         return not self.rows and not self.cols
 
     def sort_key(self):
-        return (self.rows.elements, self.cols.elements)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Minor):
-            return self.rows == other.rows and self.cols == other.cols
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+        """Also the sort key of a plain (rows, cols) pair."""
+        return (self[0].elements, self[1].elements)
 
     def __str__(self) -> str:
         return _format_pair(self.rows, self.cols, "[]")
@@ -196,9 +192,7 @@ class LaplaceCombination(Combination):
         a, b = check_ground(self.ground, *key)
         return (a, b) if len(a) == len(b) else None
 
-    @staticmethod
-    def _sort_key(key) -> tuple:
-        return (key[0].elements, key[1].elements)
+    _sort_key = staticmethod(Minor.sort_key)
 
     def coefficient(self, rows, cols) -> int:
         return super().coefficient((rows, cols))

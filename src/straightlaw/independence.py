@@ -163,10 +163,7 @@ def standard_words(m: int, n: int, max_factors: int) -> list[MinorWord]:
     """All standard monomials with 1..max_factors non-unit factors on an
     m x n matrix, enumerated by chain extension."""
     minors = nonzero_minors(m, n)
-    successors = {
-        f: [g for g in minors if leq_pair((f.rows, f.cols), (g.rows, g.cols))]
-        for f in minors
-    }
+    successors = {f: [g for g in minors if leq_pair(f, g)] for f in minors}
     out: list[MinorWord] = []
     frontier: list[MinorWord] = [(f,) for f in minors]
     for _ in range(max_factors):

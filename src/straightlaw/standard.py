@@ -23,8 +23,7 @@ def _last_descent(word: MinorWord, hi: int) -> int:
     """The last i <= hi with word[i] not below word[i + 1] in the pair order,
     or -1."""
     for i in range(min(hi, len(word) - 2), -1, -1):
-        f, g = word[i], word[i + 1]
-        if not leq_pair((f.rows, f.cols), (g.rows, g.cols)):
+        if not leq_pair(word[i], word[i + 1]):
             return i
     return -1
 
@@ -85,8 +84,7 @@ def _normalize(word: MinorWord) -> tuple:
         for pair, c in straighten_pair(first, second).items():
             # each rewrite strictly lowers the first factor of the pair, which
             # is the measure that makes the rewriting terminate
-            if not (pair and leq_pair((pair[0].rows, pair[0].cols), (first.rows, first.cols))
-                    and pair[0] != first):
+            if not (pair and leq_pair(pair[0], first) and pair[0] != first):
                 raise RuntimeError(f"no strict head drop in straightening {first}{second}; this is a bug")
             out = w[:cut] + pair + w[cut + 2:]
             if out in acc:

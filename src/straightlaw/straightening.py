@@ -40,36 +40,38 @@ class MergeMap:
 
     values[p-1] is the image of position p. first/second are the positions
     carrying the copies of the first/second input set; when two positions
-    share a value, the first-set copy comes earlier.
+    share a value, they are adjacent and the first-set copy comes earlier.
+    Bit p-1 of the mask shared is set when positions p and p+1 share a
+    value, so the map is injective on a position set P exactly when P holds
+    no such pair.
     """
 
     size: int
     values: tuple[int, ...]
     first: IndexSet
     second: IndexSet
+    shared: int
 
     def injective_on(self, positions: IndexSet) -> bool:
-        seen = set()
-        for p in positions:
-            v = self.values[p - 1]
-            if v in seen:
-                return False
-            seen.add(v)
-        return True
+        return not positions & positions >> 1 & self.shared
 
     def image_set(self, positions: IndexSet) -> IndexSet:
-        return IndexSet(self.values[p - 1] for p in positions)
+        """The set of the values at the positions, injective or not."""
+        mask = 0
+        for p in positions.elements:
+            mask |= 1 << self.values[p - 1] - 1
+        return from_mask(mask)
 
 
 def merge_map(u1: IndexSet, u2: IndexSet) -> MergeMap:
     """Merge two index sets into sorted order, the u1-copy preceding the
     u2-copy on equal values, and record which positions came from where."""
-    tagged = [(v, 0) for v in u1] + [(v, 1) for v in u2]
-    tagged.sort()
+    tagged = sorted([(v, 0) for v in u1] + [(v, 1) for v in u2])
     values = tuple(v for v, _ in tagged)
-    first = IndexSet(p for p, (_, tag) in enumerate(tagged, start=1) if tag == 0)
-    second = IndexSet(p for p, (_, tag) in enumerate(tagged, start=1) if tag == 1)
-    return MergeMap(len(tagged), values, first, second)
+    k = len(values)
+    first = from_mask(sum(1 << p for p, (_, tag) in enumerate(tagged) if not tag))
+    shared = sum(1 << p for p in range(k - 1) if values[p] == values[p + 1])
+    return MergeMap(k, values, first, complement(first, k), shared)
 
 
 # Straightening results, keyed by (rows, cols, ground): (packed, maxabs).
@@ -139,14 +141,16 @@ def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
 
     A size-mismatched pair denotes zero and yields the empty combination.
     The expansion of the output equals the expansion of the input exactly.
+    The packed result decodes to distinct pairs with nonzero coefficients,
+    which are stored as they are.
     """
     a, b = check_ground(n, a, b)
-    if len(a) != len(b):
-        return LaplaceCombination(n)
-    full = (1 << n) - 1
-    terms = _terms(_straighten(a, b, n)[0], n)
-    return LaplaceCombination._from_canonical(
-        n, (((from_mask(p & full), from_mask(p >> n)), c) for p, c in terms))
+    out = LaplaceCombination(n)
+    if len(a) == len(b):
+        full = (1 << n) - 1
+        out._terms = {(from_mask(p & full), from_mask(p >> n)): c
+                      for p, c in _terms(_straighten(a, b, n)[0], n)}
+    return out
 
 
 def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
@@ -258,7 +262,7 @@ def straighten_pair(first: Minor, second: Minor) -> WordCombination:
     """
     if first.is_zero or second.is_zero:
         return WordCombination()
-    if leq_pair((first.rows, first.cols), (second.rows, second.cols)):
+    if leq_pair(first, second):
         return WordCombination({(first, second): 1})
 
     phi = merge_map(first.rows, second.rows)

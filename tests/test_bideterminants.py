@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -48,6 +50,22 @@ from conftest import (
 
 def _perms(n):
     return list(itertools.permutations(range(1, n + 1)))
+
+
+def test_minor_is_the_tuple_of_its_index_sets():
+    for r, c in (([], []), ([2], []), ([1, 3], [2, 4])):
+        pair = (IndexSet(r), IndexSet(c))
+        minor = Minor(r, c)
+        assert minor == pair and hash(minor) == hash(pair)
+        assert Minor(tuple(r), tuple(c)) == Minor(*pair) == minor
+        assert (minor.rows, minor.cols) == pair
+        for clone in (copy.copy(minor), pickle.loads(pickle.dumps(minor))):
+            assert type(clone) is Minor and clone == minor
+        assert not hasattr(minor, "__dict__")
+    assert repr(Minor([1, 3], [2, 4])) == "Minor(IndexSet(1, 3), IndexSet(2, 4))"
+    assert str(Minor([1, 3], [2, 4])) == "[1 3|2 4]"
+    assert (repr(Minor([], [])), str(Minor([], []))) == ("Minor(IndexSet(), IndexSet())", "[|]")
+    assert (repr(Minor([2], [])), str(Minor([2], []))) == ("Minor(IndexSet(2), IndexSet())", "[2|]")
 
 
 def test_expand_minor_examples():

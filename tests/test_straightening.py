@@ -14,6 +14,7 @@ from straightlaw import (
     IndexSet,
     Minor,
     WordCombination,
+    complement,
     expand_laplace,
     expand_minor,
     is_good,
@@ -50,6 +51,20 @@ def test_merge_map_examples():
     tie = merge_map(IndexSet([1]), IndexSet([1]))
     assert tie.values == (1, 1)
     assert tie.first == IndexSet([1]) and tie.second == IndexSet([2])
+
+
+def test_merge_map_masks_against_values():
+    # injective_on and image_set work on masks; compare them with the values
+    # at the positions, for every pair of sets in {1..4} and every position
+    # set, injective or not
+    for u1 in all_subsets(4):
+        for u2 in all_subsets(4):
+            mm = merge_map(u1, u2)
+            assert mm.second == complement(mm.first, mm.size)
+            for positions in all_subsets(mm.size):
+                images = [mm.values[p - 1] for p in positions]
+                assert mm.injective_on(positions) == (len(set(images)) == len(images))
+                assert set(mm.image_set(positions).elements) == set(images)
 
 
 @given(index_sets, index_sets)
