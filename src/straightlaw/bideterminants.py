@@ -179,7 +179,7 @@ class LaplaceCombination(Combination):
     def _from_canonical(cls, ground: int, terms: Iterable) -> "LaplaceCombination":
         """A combination from (key, coeff) pairs whose keys are already
         canonical: size-matched IndexSet pairs inside a checked ground, as
-        the relation builders and straighten_laplace emit them."""
+        the relation builders emit them."""
         acc: dict = {}
         for key, coeff in terms:
             acc[key] = acc.get(key, 0) + coeff
