@@ -350,17 +350,22 @@ def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) 
     return LaplaceCombination._from_canonical(n, terms)
 
 
+def superset_blocks(a: IndexSet, b: IndexSet, n: int) -> list[tuple[IndexSet, int, tuple[IndexSet, ...]]]:
+    """The superset part of relation_complementary, one block per column
+    set: (w, (-1)**(n - |w|), the row sets u >= a of size |w|) for every
+    w >= b, starting with w = b. When |a| = |b| the w = b block holds a
+    alone."""
+    a, b = check_ground(n, a, b)
+    full = full_set(n)
+    return [(w, parity_sign(n - len(w)), _between(a, full, len(w))) for w in _between(b, full)]
+
+
 def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
     """Superset-against-complement form: alternating sum over supersets
     (u, w) of (a, b) minus the sum over column subsets v of b taken against
-    the complement of v."""
+    the complement of v. The second sum is empty when |a| + |b| < n."""
     a, b = check_ground(n, a, b)
-    full = full_set(n)
-    terms = [
-        ((u, w), parity_sign(n - len(w)))
-        for w in _between(b, full)
-        for u in _between(a, full, len(w))
-    ]
+    terms = [((u, w), sign) for w, sign, us in superset_blocks(a, b, n) for u in us]
     terms += (((a, complement(v, n)), -1) for v in _between(EMPTY, b) if n - len(v) == len(a))
     return LaplaceCombination._from_canonical(n, terms)
 

@@ -28,8 +28,8 @@ from .bideterminants import (
     LaplaceCombination,
     Minor,
     WordCombination,
-    relation_complementary,
     relation_inclusion_exclusion,
+    superset_blocks,
 )
 
 
@@ -75,28 +75,38 @@ def merge_map(u1: IndexSet, u2: IndexSet) -> MergeMap:
 
 
 # Straightening results, keyed by (rows, cols, ground): (packed, maxabs).
-# packed is the int sum of coeff * 2**(64 * slot) over the result's good pairs,
-# each a signed 64-bit field, and maxabs is the largest |coeff|. Slots are
+# packed is the int sum of coeff * 2**(32 * slot) over the result's good pairs,
+# each a signed 32-bit field, and maxabs is the largest |coeff|. Slots are
 # numbered per ground in the order good pairs are first reached, so a
 # registry grows with the pairs reached, never with the ground's Catalan
 # number of good pairs. Summing packed ints adds whole results in one big-int
-# operation; a sum decodes exactly while every field stays below 2**63 in
-# absolute value, which _eliminate checks before it stores one. The poset of
-# pairs is finite, so the cache is bounded; same key always maps to the same
-# entry. Entries index into _SLOTS, which must never be cleared on its own.
+# operation; a sum decodes exactly while every field stays below 2**31 in
+# absolute value, which _checked tests on a bound before any result is
+# stored (the largest such bound is 7,897 at ground 7 and 47,163 at ground
+# 8). The poset of pairs is finite, so the cache is bounded; same key always
+# maps to the same entry. Entries index into _SLOTS, which must never be
+# cleared on its own.
 _STRAIGHTEN_CACHE: dict[tuple[IndexSet, IndexSet, int], tuple[int, int]] = {}
+
+# Superset block sums of the small-pair rule, keyed by (a, w, ground):
+# (packed, bound), the packed sum of the results of every (u, w) with u >= a
+# and |u| = |w|, and the sum of their maxabs. Every column set b < w of size
+# |a| shares the entry. Like the results, entries index into _SLOTS.
+_SUPERSET_SUMS: dict[tuple[IndexSet, IndexSet, int], tuple[int, int]] = {}
 
 # ground -> (pair code -> slot, slot -> pair code); the good pair (u, w) at
 # ground n has the code u | w << n.
 _SLOTS: defaultdict[int, tuple[dict[int, int], list[int]]] = defaultdict(lambda: ({}, []))
 
-_FIELD = 64
+_FIELD = 32
 _FIELD_LIMIT = 1 << (_FIELD - 1)
+# The array typecode of a signed field, by its item size.
+_TYPECODE = next(t for t in "hilq" if array(t).itemsize * 8 == _FIELD)
 
 
 @cache
 def _offset(k: int) -> int:
-    """2**63 in each of k fields: adding it makes every signed field
+    """2**31 in each of k fields: adding it makes every signed field
     non-negative, and xor-ing it back leaves each field's two's complement."""
     return ((1 << _FIELD * k) - 1) // ((1 << _FIELD) - 1) << (_FIELD - 1)
 
@@ -114,7 +124,7 @@ def _coefficients(packed: int, n: int) -> array:
     """The signed coefficient in each of the ground's slots."""
     k = len(_SLOTS[n][1])
     off = _offset(k)
-    return array("q", ((packed + off) ^ off).to_bytes(8 * k, sys.byteorder))
+    return array(_TYPECODE, ((packed + off) ^ off).to_bytes(_FIELD // 8 * k, sys.byteorder))
 
 
 def _terms(packed: int, n: int):
@@ -124,10 +134,10 @@ def _terms(packed: int, n: int):
 
 
 def _encode(terms, n: int) -> int:
-    """The packed int of (pair code, coeff) terms, each |coeff| < 2**63."""
+    """The packed int of (pair code, coeff) terms, each |coeff| < 2**31."""
     fields = [(_slot(code, n), coeff) for code, coeff in terms]
     k = len(_SLOTS[n][1])
-    coeffs = array("q", bytes(8 * k))
+    coeffs = array(_TYPECODE, bytes(_FIELD // 8 * k))
     for slot, coeff in fields:
         coeffs[slot] = coeff
     off = _offset(k)
@@ -162,11 +172,7 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
     if is_good(a, n) and is_good(b, n):
         result = (1 << _FIELD * _slot(a | b << n, n), 1)
     elif 2 * len(a) < n:
-        # Small pairs: the alternating superset relation contains the target
-        # once, and every other stored term is strictly below in both
-        # coordinates.
-        rel = relation_complementary(a, b, n)
-        result = _eliminate(rel, a, b, n, require_row_drop=True)
+        result = _straighten_small(a, b, n)
     elif not is_good(b, n):
         # Minimal-violation rewrite on the column side: pin the first place
         # where b exceeds its complement, enlarge b there, and trade through
@@ -181,7 +187,7 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
         c = IndexSet(prefix + b.elements[nu - 1:])
         d = from_mask(b | c)
         rel = relation_inclusion_exclusion(a, d, c, n)
-        result = _eliminate(rel, a, b, n, require_row_drop=False)
+        result = _eliminate(rel, a, b, n)
     else:
         # Only the row set is bad: straighten the transposed product and swap
         # the coordinates back (a Laplace product is symmetric under
@@ -195,8 +201,7 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
     return result
 
 
-def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
-               require_row_drop: bool) -> tuple[int, int]:
+def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
     """Solve a vanishing combination for its (a, b) term and recurse on the
     remaining terms, which must sit strictly lower in the order. Each term
     adds its packed result whole, so the work per term is one big-int
@@ -217,7 +222,7 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
         # column sets, so each is compared once.
         row_drop = row_drops.get(u)
         if row_drop is None:
-            row_drop = row_drops[u] = lt(u, a) if require_row_drop else leq(u, a)
+            row_drop = row_drops[u] = leq(u, a)
         col_drop = col_drops.get(w)
         if col_drop is None:
             col_drop = col_drops[w] = lt(w, b)
@@ -232,13 +237,76 @@ def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int,
         else:
             acc += scale * packed
         bound += abs(scale) * maxabs
+    _checked(bound, a, b)
+    return acc, _maxabs(acc, n)
+
+
+def _maxabs(packed: int, n: int) -> int:
+    coeffs = _coefficients(packed, n)
+    return max(max(coeffs, default=0), -min(coeffs, default=0))
+
+
+def _checked(bound: int, a: IndexSet, b: IndexSet, what: str = "straightening") -> None:
+    """Refuse a packed sum for (a, b) whose coefficients may reach 2**31 in
+    absolute value: it would not decode exactly."""
     if bound >= _FIELD_LIMIT:
         raise RuntimeError(
-            f"coefficients straightening {a}|{b} may reach {bound}, "
-            f"beyond the packed 64-bit fields"
+            f"coefficients {what} {a}|{b} may reach {bound}, "
+            f"beyond the packed 32-bit fields"
         )
-    coeffs = _coefficients(acc, n)
-    return acc, max(max(coeffs, default=0), -min(coeffs, default=0))
+
+
+def _straighten_small(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
+    """Straighten a pair with 2|a| < n by solving relation_complementary for
+    it. Its complement tail is empty there, so the relation is
+        sum over w >= b of (-1)**(n - |w|) * S(a, w) = 0,
+    where S(a, w) sums the products (u, w) with u >= a and |u| = |w|. The
+    w = b block is the target alone, with the unit coefficient eps, so
+        (a, b) = -eps * sum over w > b of (-1)**(n - |w|) * S(a, w).
+    Every (u, w) in a block with w > b lies strictly below (a, b) in both
+    coordinates, and S(a, w) does not depend on b: it is cached in
+    _SUPERSET_SUMS, shared by every b < w of size |a|."""
+    eps = None
+    acc = bound = 0
+    for w, sign, us in superset_blocks(a, b, n):
+        if w == b:
+            if us == (a,):
+                eps = sign
+            continue
+        if not lt(w, b):
+            raise RuntimeError(f"no strict drop from {a}|{b} to column set {w}; this is a bug")
+        packed, block_bound = _superset_sum(a, w, us, n)
+        if sign == 1:
+            acc += packed
+        else:
+            acc -= packed
+        bound += block_bound
+    if eps is None:
+        raise RuntimeError(
+            f"target {a}|{b} is not alone in the w = b block of its relation; this is a bug")
+    _checked(bound, a, b)
+    if eps == 1:
+        acc = -acc
+    return acc, _maxabs(acc, n)
+
+
+def _superset_sum(a: IndexSet, w: IndexSet, us: tuple[IndexSet, ...], n: int) -> tuple[int, int]:
+    """S(a, w) of _straighten_small: the packed sum of the results of the
+    (u, w) for the row sets u in us, and the sum of their maxabs."""
+    key = (a, w, n)
+    hit = _SUPERSET_SUMS.get(key)
+    if hit is not None:
+        return hit
+    acc = bound = 0
+    for u in us:
+        if not lt(u, a):
+            raise RuntimeError(f"no strict drop from row set {a} to {u}|{w}; this is a bug")
+        packed, maxabs = _straighten(u, w, n)
+        acc += packed
+        bound += maxabs
+    _checked(bound, a, w, "summing the row supersets of")
+    result = _SUPERSET_SUMS[key] = (acc, bound)
+    return result
 
 
 @cache
@@ -271,7 +339,7 @@ def straighten_pair(first: Minor, second: Minor) -> WordCombination:
     base_exp = sum(phi.first) + sum(psi.first)
 
     terms = []
-    for (ip, jp), coeff in straighten_laplace(phi.first, psi.first, k).items():
+    for (ip, jp), coeff in straighten_laplace(phi.first, psi.first, k)._terms.items():
         iq = complement(ip, k)
         jq = complement(jp, k)
         if not (phi.injective_on(ip) and phi.injective_on(iq)

@@ -36,6 +36,7 @@ from straightlaw.bideterminants import (
     _matching_perms_cached,
     _prove_basis,
     _sigma_basis,
+    superset_blocks,
 )
 
 from conftest import (
@@ -360,6 +361,41 @@ def test_relation_complementary_example():
     })
     full = IndexSet([1, 2])
     assert not relation_complementary(full, full, 2)
+
+
+def _complementary_reference(a, b, n):
+    """relation_complementary written out term by term, without blocks."""
+    full = list(range(1, n + 1))
+    terms = {}
+    for w in all_subsets(n):
+        if set(b) <= set(w):
+            for u in all_subsets(n):
+                if set(a) <= set(u) and len(u) == len(w):
+                    terms[(u, w)] = (-1) ** (n - len(w))
+    for v in all_subsets(n):
+        if set(v) <= set(b) and n - len(v) == len(a):
+            key = (a, IndexSet([j for j in full if j not in v]))
+            terms[key] = terms.get(key, 0) - 1
+    return LaplaceCombination(n, terms)
+
+
+def test_superset_blocks_rebuild_relation_complementary():
+    for n in range(0, 7):
+        for a in all_subsets(n):
+            for b in all_subsets(n):
+                if len(a) != len(b):
+                    continue
+                blocks = superset_blocks(a, b, n)
+                tail = [((a, IndexSet([j for j in range(1, n + 1) if j not in v])), -1)
+                        for v in all_subsets(n) if set(v) <= set(b) and n - len(v) == len(a)]
+                rebuilt = LaplaceCombination(
+                    n, [((u, w), sign) for w, sign, us in blocks for u in us] + tail)
+                assert rebuilt == _complementary_reference(a, b, n)
+                assert relation_complementary(a, b, n) == rebuilt
+                if 2 * len(a) < n:
+                    assert not tail
+                assert [us for w, _, us in blocks if w == b] == [(a,)]
+                assert blocks[0][0] == b
 
 
 def test_laplace_expansion_examples():

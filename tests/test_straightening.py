@@ -216,6 +216,33 @@ def test_straighten_laplace_survives_a_cleared_cache(monkeypatch):
     assert after == before
 
 
+@pytest.mark.skipif(os.environ.get("STRAIGHTLAW_SLOW") != "1", reason="slow: set STRAIGHTLAW_SLOW=1")
+def test_straighten_laplace_n8_stays_inside_32_bit_fields(monkeypatch):
+    # Every size-matched pair at ground 8, from cold caches, checked by value
+    # at a seeded integer matrix. Every bound a packed sum is checked against
+    # must stay below 2**31, the limit of the 32-bit fields (47,163 here).
+    n = 8
+    bounds = []
+    checked = straightening._checked
+
+    def spy(bound, *args):
+        bounds.append(bound)
+        checked(bound, *args)
+
+    monkeypatch.setattr(straightening, "_checked", spy)
+    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
+    monkeypatch.setattr(straightening, "_SUPERSET_SUMS", {})
+    pairs = _size_matched_pairs(n)
+    assert len(pairs) == 12870
+    rng = random.Random(8)
+    x = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    value = {(a, b): _laplace_value(x, a, b, n) for a, b in pairs}
+    for a, b in pairs:
+        combo = straighten_laplace(a, b, n)
+        assert sum(coeff * value[key] for key, coeff in combo.items()) == value[(a, b)]
+    assert bounds and max(bounds) < 2 ** 31
+
+
 _SWEEP_N5 = """
 import itertools, sys
 from straightlaw import IndexSet, straighten_laplace

@@ -21,28 +21,85 @@ from straightlaw import (
 )
 
 
+def _fresh_caches(monkeypatch):
+    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
+    monkeypatch.setattr(straightening, "_SUPERSET_SUMS", {})
+
+
+A, B, N = IndexSet([1]), IndexSet([2]), 3
+
+
 def test_strict_drop_is_checked(monkeypatch):
     # A relation term that does not drop would send the recursion back to
-    # its own input; the check must refuse it before recursing.
-    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
-    monkeypatch.setattr(straightening, "relation_complementary",
-                        lambda a, b, n: LaplaceCombination(n, {(a, b): 1, (b, a): 1}))
+    # its own input; the check must refuse it before recursing. The blocks
+    # replace superset_blocks(A, B, N): the w = B block is the target alone,
+    # and the row set {2,3} of the next block is not below A = {1}.
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: [
+        (B, 1, (A,)), (IndexSet([1, 2]), -1, (IndexSet([2, 3]),))])
+    with pytest.raises(RuntimeError, match="no strict drop from row set"):
+        straighten_laplace(A, B, N)
+
+
+def test_column_drop_is_checked(monkeypatch):
+    # As above at ground 4, with a block whose row set {1,2} is below A but
+    # whose column set {3,4} is not below B = {2}.
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: [
+        (B, 1, (A,)), (IndexSet([3, 4]), 1, (IndexSet([1, 2]),))])
+    with pytest.raises(RuntimeError, match="no strict drop .* to column set"):
+        straighten_laplace(A, B, 4)
+
+
+def test_strict_drop_is_checked_on_inclusion_exclusion(monkeypatch):
+    # ({1}, {2}) at ground 2 is not small and its column set is bad, so it is
+    # solved from relation_inclusion_exclusion by _eliminate.
+    a, b, n = IndexSet([1]), IndexSet([2]), 2
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(straightening, "relation_inclusion_exclusion",
+                        lambda *args: LaplaceCombination(n, {(a, b): 1, (b, a): 1}))
     with pytest.raises(RuntimeError, match="no strict drop"):
-        straighten_laplace(IndexSet([1]), IndexSet([2]), 3)
+        straighten_laplace(a, b, n)
+
+
+def test_target_block_is_checked(monkeypatch):
+    # The w = b block must hold the target alone: only then does it carry
+    # the unit coefficient the small-pair rule divides by.
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: [(B, 1, (A, IndexSet([3])))])
+    with pytest.raises(RuntimeError, match="is not alone"):
+        straighten_laplace(A, B, N)
+
+
+def _inflated_bounds(monkeypatch):
+    """The caches after straightening ({3}, {3}) at ground 3, without that
+    result, and with every other cached bound inflated to 2**30."""
+    _fresh_caches(monkeypatch)
+    a, n = IndexSet([3]), 3
+    straighten_laplace(a, a, n)
+    del straightening._STRAIGHTEN_CACHE[(a, a, n)]
+    for cache in (straightening._STRAIGHTEN_CACHE, straightening._SUPERSET_SUMS):
+        for key, (packed, _) in cache.items():
+            cache[key] = (packed, 2 ** 30)
+    return a, n
 
 
 def test_packed_bound_is_checked(monkeypatch):
-    # Straightening sums results as 64-bit fields of one int; a sum whose
-    # coefficients might reach 2**63 cannot be decoded exactly and must be
+    # Straightening sums results as 32-bit fields of one int; a sum whose
+    # coefficients might reach 2**31 cannot be decoded exactly and must be
     # refused, here forced by inflating the cached bounds of the inputs.
-    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
-    a, n = IndexSet([3]), 3
-    straighten_laplace(a, a, n)
-    cache = straightening._STRAIGHTEN_CACHE
-    del cache[(a, a, n)]
-    for key, (packed, _) in cache.items():
-        cache[key] = (packed, 2 ** 62)
-    with pytest.raises(RuntimeError, match="64-bit"):
+    # With the superset sums cleared, a block sum of two inputs overflows.
+    a, n = _inflated_bounds(monkeypatch)
+    straightening._SUPERSET_SUMS.clear()
+    with pytest.raises(RuntimeError, match=r"supersets of \{3\}\|\{1,3\} may reach 2147483648, .* 32-bit"):
+        straighten_laplace(a, a, n)
+
+
+def test_packed_bound_is_checked_on_block_sums(monkeypatch):
+    # With the superset sums kept at inflated bounds, the sum of the three
+    # blocks above ({3}, {3}) overflows.
+    a, n = _inflated_bounds(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"straightening \{3\}\|\{3\} may reach 3221225472, .* 32-bit"):
         straighten_laplace(a, a, n)
 
 
@@ -54,8 +111,11 @@ def test_head_drop_is_checked(monkeypatch):
 
 
 def test_invariant_checks_survive_python_O():
-    tests = [f"{__file__}::{name}" for name in (
-        "test_strict_drop_is_checked", "test_packed_bound_is_checked", "test_head_drop_is_checked")]
+    names = ("test_strict_drop_is_checked", "test_column_drop_is_checked",
+             "test_strict_drop_is_checked_on_inclusion_exclusion", "test_target_block_is_checked",
+             "test_packed_bound_is_checked", "test_packed_bound_is_checked_on_block_sums",
+             "test_head_drop_is_checked")
+    tests = [f"{__file__}::{name}" for name in names]
     # No test here uses hypothesis, whose pytest plugin takes seconds to import.
     plugins = ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
     proc = subprocess.run(
@@ -63,4 +123,4 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, cwd=Path(__file__).parent.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout
+    assert "7 passed" in proc.stdout
