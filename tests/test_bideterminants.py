@@ -363,20 +363,18 @@ def test_relation_complementary_example():
     assert not relation_complementary(full, full, 2)
 
 
+def _complementary_tail(a, b, n):
+    """The terms of relation_complementary against complements of v <= b."""
+    return [((a, IndexSet([j for j in range(1, n + 1) if j not in v])), -1)
+            for v in all_subsets(n) if set(v) <= set(b) and n - len(v) == len(a)]
+
+
 def _complementary_reference(a, b, n):
     """relation_complementary written out term by term, without blocks."""
-    full = list(range(1, n + 1))
-    terms = {}
-    for w in all_subsets(n):
-        if set(b) <= set(w):
-            for u in all_subsets(n):
-                if set(a) <= set(u) and len(u) == len(w):
-                    terms[(u, w)] = (-1) ** (n - len(w))
-    for v in all_subsets(n):
-        if set(v) <= set(b) and n - len(v) == len(a):
-            key = (a, IndexSet([j for j in full if j not in v]))
-            terms[key] = terms.get(key, 0) - 1
-    return LaplaceCombination(n, terms)
+    supersets = [((u, w), (-1) ** (n - len(w)))
+                 for w in all_subsets(n) if set(b) <= set(w)
+                 for u in all_subsets(n) if set(a) <= set(u) and len(u) == len(w)]
+    return LaplaceCombination(n, supersets + _complementary_tail(a, b, n))
 
 
 def test_superset_blocks_rebuild_relation_complementary():
@@ -386,8 +384,7 @@ def test_superset_blocks_rebuild_relation_complementary():
                 if len(a) != len(b):
                     continue
                 blocks = superset_blocks(a, b, n)
-                tail = [((a, IndexSet([j for j in range(1, n + 1) if j not in v])), -1)
-                        for v in all_subsets(n) if set(v) <= set(b) and n - len(v) == len(a)]
+                tail = _complementary_tail(a, b, n)
                 rebuilt = LaplaceCombination(
                     n, [((u, w), sign) for w, sign, us in blocks for u in us] + tail)
                 assert rebuilt == _complementary_reference(a, b, n)
