@@ -35,7 +35,7 @@ from conftest import all_subsets, size_matched_minors
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 STRAIGHTEN_GROUNDS = range(0, 8)
-RELATION_GROUNDS = range(1, 6)
+RELATION_GROUNDS = range(1, 7)
 # Words per length in the seeded 4x4 batch; 6-factor words dominate the time.
 NF_WORDS_PER_LENGTH = 16
 
