@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator, Tuple
 
 from .indexsets import (
@@ -27,6 +28,10 @@ from .polynomials import Combination, Polynomial, monomial, nonzero, xvar
 
 # Ground bound for the permutation criterion (Catalan(n) basis, proven per ground).
 SIGMA_CHECK_MAX_GROUND = 8
+# Width of one basis permutation's field in a packed sigma row, and the bound
+# on the sum of |coefficient| below which a packed total decides exactly.
+_SIGMA_FIELD = 32
+SIGMA_CHECK_COEFF_LIMIT = 1 << (_SIGMA_FIELD - 1)
 
 
 class Minor(namedtuple("Minor", ("rows", "cols"))):
@@ -176,16 +181,26 @@ class LaplaceCombination(Combination):
         super().__init__(terms)
 
     @classmethod
-    def _from_canonical(cls, ground: int, terms: Iterable) -> "LaplaceCombination":
-        """A combination from (key, coeff) pairs whose keys are already
-        canonical: size-matched IndexSet pairs inside a checked ground, as
-        the relation builders emit them."""
-        acc: dict = {}
-        for key, coeff in terms:
-            acc[key] = acc.get(key, 0) + coeff
+    def _from_blocks(cls, ground: int, blocks: Iterable) -> "LaplaceCombination":
+        """A combination from (keys, coeff) blocks, every key of a block
+        taking its coeff. Keys must already be canonical: size-matched
+        IndexSet pairs inside a checked ground, as the relation builders
+        emit them. Terms keep the order of their first key."""
+        keys: list = []
+        coeffs: list = []
+        for block, coeff in blocks:
+            start = len(keys)
+            keys += block
+            coeffs += repeat(coeff, len(keys) - start)
+        terms = dict(zip(keys, coeffs))
+        if len(terms) < len(keys):  # some key repeats: sum, then drop zeros
+            acc = dict.fromkeys(terms, 0)
+            for key, coeff in zip(keys, coeffs):
+                acc[key] += coeff
+            terms = nonzero(acc)
         out = cls.__new__(cls)
         out.ground = ground
-        out._terms = nonzero(acc)
+        out._terms = terms
         return out
 
     def _canonical(self, key):
@@ -301,10 +316,16 @@ def _sigma_basis(n: int) -> tuple[int, dict[int, tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
-def _matching_perms_cached(rows: IndexSet, cols: IndexSet, n: int) -> tuple[int, ...]:
-    """Indices of the basis permutations (see _sigma_basis) mapping the row
-    set onto the column set; empty when none does, as for a size mismatch."""
-    return _sigma_basis(n)[1].get(rows | cols << n, ())
+def _matching_perms_cached(rows: IndexSet, cols: IndexSet, n: int) -> int:
+    """The packed sigma row of a (row set, column set) pair: the sum of
+    2**(32 * i) over the indices i of the basis permutations (see
+    _sigma_basis) mapping the row set onto the column set; 0 when none
+    does, as for a size mismatch. Built on first use from the index table,
+    so a check builds only the rows of the pairs it meets. A row takes up to
+    4 * Catalan(n) bytes; the rows of all size-matched pairs, which a sweep
+    of every family builds, take 0.4 MiB at n = 6, 4.4 MiB at n = 7 and
+    54 MiB at n = 8."""
+    return sum(1 << _SIGMA_FIELD * i for i in _sigma_basis(n)[1].get(rows | cols << n, ()))
 
 
 def check_relation(rel: LaplaceCombination) -> bool:
@@ -314,19 +335,36 @@ def check_relation(rel: LaplaceCombination) -> bool:
 
     It suffices to test the Catalan(n) 231-avoiding permutations: their
     evaluation rows are proven, once per ground, to span those of all of
-    S_n (see _prove_basis). Basis permutations matched by no term keep an
-    empty sum. Refuses ground sizes above SIGMA_CHECK_MAX_GROUND.
+    S_n (see _prove_basis); every check proves the basis at its ground
+    first, even for an empty combination. The sums are taken all at once:
+    each term adds coeff times its packed sigma row (_matching_perms_cached),
+    one 32-bit field per basis permutation. Every field's sum lies within
+    the sum of |coeff|; while that is below SIGMA_CHECK_COEFF_LIMIT (2**31),
+    a packed total of such fields is 0 only if every field is. Refuses ground sizes above SIGMA_CHECK_MAX_GROUND and
+    combinations whose sum of |coeff| reaches SIGMA_CHECK_COEFF_LIMIT.
     """
     n = rel.ground
     if n > SIGMA_CHECK_MAX_GROUND:
         raise ValueError(
             f"permutation criterion refused for ground size {n} > {SIGMA_CHECK_MAX_GROUND}"
         )
-    totals = [0] * _sigma_basis(n)[0]
-    for (a, b), coeff in rel._terms.items():
-        for r in _matching_perms_cached(a, b, n):
-            totals[r] += coeff
-    return not any(totals)
+    terms = rel._terms
+    weight = sum(map(abs, terms.values()))
+    if weight >= SIGMA_CHECK_COEFF_LIMIT:
+        raise ValueError(
+            f"permutation criterion refused for a coefficient sum {weight} >= 2**{_SIGMA_FIELD - 1}"
+        )
+    _sigma_basis(n)  # proves the basis, also for an empty combination
+    total = 0
+    for (a, b), coeff in terms.items():
+        row = _matching_perms_cached(a, b, n)
+        if coeff == 1:  # most terms: skip the big-int product
+            total += row
+        elif coeff == -1:
+            total -= row
+        else:
+            total += coeff * row
+    return not total
 
 
 def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
@@ -339,15 +377,17 @@ def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination
 def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) -> LaplaceCombination:
     """Signed refinement of the fundamental relation by a pinned subset c of
     b: column sets range over c <= v <= b on one side, while the other side
-    alternates over subsets w of c removed from b."""
+    alternates over subsets w of c removed from b. A w with |b| - |w| < |a|
+    adds nothing (no row set u >= a is that small) and is not visited."""
     a, b, c = check_ground(n, a, b, c)
-    terms = [((a, v), 1) for v in _between(c, b, len(a))]
+    blocks = [(zip(repeat(a), _between(c, b, len(a))), 1)]
     full = full_set(n)
-    for w in _between(EMPTY, c):
-        sign = parity_sign(len(w))
-        bw = from_mask(b & ~w)
-        terms += (((u, bw), -sign) for u in _between(a, full, len(bw)))
-    return LaplaceCombination._from_canonical(n, terms)
+    for size in range(min(len(c), len(b) - len(a)) + 1):
+        sign = -parity_sign(size)
+        for w in _between(EMPTY, c, size):
+            bw = from_mask(b & ~w)
+            blocks.append((zip(_between(a, full, len(bw)), repeat(bw)), sign))
+    return LaplaceCombination._from_blocks(n, blocks)
 
 
 def superset_blocks(a: IndexSet, b: IndexSet, n: int) -> list[tuple[IndexSet, int, tuple[IndexSet, ...]]]:
@@ -365,9 +405,9 @@ def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombinati
     (u, w) of (a, b) minus the sum over column subsets v of b taken against
     the complement of v. The second sum is empty when |a| + |b| < n."""
     a, b = check_ground(n, a, b)
-    terms = [((u, w), sign) for w, sign, us in superset_blocks(a, b, n) for u in us]
-    terms += (((a, complement(v, n)), -1) for v in _between(EMPTY, b) if n - len(v) == len(a))
-    return LaplaceCombination._from_canonical(n, terms)
+    blocks = [(zip(us, repeat(w)), sign) for w, sign, us in superset_blocks(a, b, n)]
+    blocks.append((zip(repeat(a), map(complement, _between(EMPTY, b, n - len(a)), repeat(n))), -1))
+    return LaplaceCombination._from_blocks(n, blocks)
 
 
 def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCombination:
@@ -376,10 +416,9 @@ def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCom
     if side not in ("rows", "cols"):
         raise ValueError(f"side must be 'rows' or 'cols', got {side!r}")
     (fixed,) = check_ground(n, fixed)
-    terms = [((EMPTY, EMPTY), 1)]
-    terms += (((s, fixed) if side == "cols" else (fixed, s), -1)
-              for s in _between(EMPTY, full_set(n), len(fixed)))
-    return LaplaceCombination._from_canonical(n, terms)
+    others = _between(EMPTY, full_set(n), len(fixed))
+    keys = zip(others, repeat(fixed)) if side == "cols" else zip(repeat(fixed), others)
+    return LaplaceCombination._from_blocks(n, [(((EMPTY, EMPTY),), 1), (keys, -1)])
 
 
 RELATION_FAMILIES = ("theorem1", "cor1", "cor2", "laplace")
@@ -391,20 +430,21 @@ def relation_family(n: int, family: str) -> Iterator[tuple[str, LaplaceCombinati
     if family not in RELATION_FAMILIES:
         raise ValueError(f"unknown relation family {family!r}; expected one of {RELATION_FAMILIES}")
     every = _between(EMPTY, full_set(n))
+    label = {s: str(s) for s in every}
     if family == "theorem1":
         for a in every:
             for b in every:
-                yield f"A={a} B={b}", relation_fundamental(a, b, n)
+                yield f"A={label[a]} B={label[b]}", relation_fundamental(a, b, n)
     elif family == "cor1":
         for b in every:
             for c in _between(EMPTY, b):
                 for a in every:
-                    yield f"A={a} B={b} C={c}", relation_inclusion_exclusion(a, b, c, n)
+                    yield f"A={label[a]} B={label[b]} C={label[c]}", relation_inclusion_exclusion(a, b, c, n)
     elif family == "cor2":
         for a in every:
             for b in every:
-                yield f"A={a} B={b}", relation_complementary(a, b, n)
+                yield f"A={label[a]} B={label[b]}", relation_complementary(a, b, n)
     else:
         for side in ("cols", "rows"):
             for fixed in every:
-                yield f"side={side} fixed={fixed}", laplace_expansion(fixed, n, side)
+                yield f"side={side} fixed={label[fixed]}", laplace_expansion(fixed, n, side)

@@ -495,6 +495,9 @@ def main(argv=None) -> int:
     except RecursionError:  # deeply nested JSON
         print("error: input nested too deeply or too long to process", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # e.g. the ground-12 straightening of two unordered 6x6 minors
+        print("error: out of memory: the input is too large to process", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ code paths they are checking."""
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
+
+import pytest
 
 from straightlaw import (
     IndexSet,
@@ -19,6 +22,14 @@ from straightlaw import (
     yvar,
     zvar,
 )
+
+
+
+def slow(test):
+    """Mark a test that takes seconds to minutes: it is skipped unless
+    STRAIGHTLAW_SLOW=1, and `pytest -m slow` selects every such test."""
+    skip = pytest.mark.skipif(os.environ.get("STRAIGHTLAW_SLOW") != "1", reason="slow: set STRAIGHTLAW_SLOW=1")
+    return pytest.mark.slow(skip(test))
 
 
 def inversion_sign(seq) -> int:

@@ -242,6 +242,27 @@ def test_check_relation_above_the_cached_grounds():
         check_relation(LaplaceCombination(9, {(IndexSet([1]), IndexSet([1])): 1}))
 
 
+def test_check_relation_coefficient_limit():
+    # Packed 32-bit fields decide exactly while the sum of |coeff| stays
+    # below 2**31; at or above it the check refuses.
+    rel = relation_complementary(IndexSet([1]), IndexSet([2]), 4)
+    weight = sum(abs(c) for _, c in rel.items())
+    k = (2 ** 31 - 1) // weight
+    assert 2 ** 31 - weight <= k * weight < 2 ** 31
+    scaled = {key: k * c for key, c in rel.items()}
+    assert check_relation(LaplaceCombination(4, scaled))
+    key, c = rel.items()[0]
+    moved = {**scaled, key: k * c - (1 if c > 0 else -1)}
+    assert not check_relation(LaplaceCombination(4, moved))
+    over = {key: (k + 1) * c for key, c in rel.items()}
+    with pytest.raises(ValueError, match=r"^permutation criterion refused for a coefficient sum \d+ >= 2\*\*31$"):
+        check_relation(LaplaceCombination(4, over))
+    one = (IndexSet([1]), IndexSet([2]))
+    assert not check_relation(LaplaceCombination(2, {one: 2 ** 31 - 1}))
+    with pytest.raises(ValueError, match="2147483648 >= 2"):
+        check_relation(LaplaceCombination(2, {one: -2 ** 31}))
+
+
 def test_check_relation_reuses_ranks_at_ground_seven():
     rel = laplace_expansion(IndexSet([2]), 7)
     assert check_relation(rel)
@@ -346,6 +367,41 @@ def test_relation_inclusion_exclusion_examples():
         relation_inclusion_exclusion(EMPTY, IndexSet([1]), IndexSet([2]), 2)
     with pytest.raises(ValueError, match=r"^\{2,3\} is not contained in \{1,3\}$"):
         relation_inclusion_exclusion(EMPTY, IndexSet([1, 3]), IndexSet([2, 3]), 3)
+
+
+def test_from_blocks_sums_repeated_keys():
+    p = (IndexSet([1]), IndexSet([1]))
+    q = (IndexSet([2]), IndexSet([1]))
+    r = (IndexSet([1, 2]), IndexSet([1, 3]))
+    distinct = LaplaceCombination._from_blocks(3, [((p, q), 1), ((r,), -2)])
+    assert list(distinct._terms.items()) == [(p, 1), (q, 1), (r, -2)]
+    # q repeats across blocks and is summed; p cancels and is not stored
+    summed = LaplaceCombination._from_blocks(3, [((p, q), 1), (iter((q, r)), 2), ((p,), -1)])
+    assert list(summed._terms.items()) == [(q, 3), (r, 2)]
+    assert summed == LaplaceCombination(3, {q: 3, r: 2})
+
+
+def test_relation_inclusion_exclusion_matches_every_w():
+    # Against a term-by-term reference that visits every w <= c, also those
+    # with |b| - |w| < |a|, which the builder skips. With |a| = |b| the v = b
+    # term and the w = {} term are both (a, b), with opposite signs: the
+    # relation must not store it.
+    for n in range(1, 5):
+        sets = all_subsets(n)
+        for a in sets:
+            for b in sets:
+                for c in (s for s in sets if set(s) <= set(b)):
+                    rel = relation_inclusion_exclusion(a, b, c, n)
+                    assert 0 not in rel._terms.values()
+                    if len(a) == len(b):
+                        assert (a, b) not in rel._terms
+                    reference = [((a, v), 1) for v in sets
+                                 if set(c) <= set(v) <= set(b) and len(v) == len(a)]
+                    for w in (s for s in sets if set(s) <= set(c)):
+                        bw = IndexSet(set(b) - set(w))
+                        reference += [((u, bw), -(-1) ** len(w)) for u in sets
+                                      if set(a) <= set(u) and len(u) == len(bw)]
+                    assert rel == LaplaceCombination(n, reference), (a, b, c)
 
 
 def test_relation_complementary_example():

@@ -17,6 +17,8 @@ from straightlaw import (
 )
 from straightlaw.cli import ParseError, main
 
+from conftest import slow
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -192,6 +194,30 @@ def test_over_deep_input_is_a_one_line_error(argv, stdin, monkeypatch, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
+    # Two unordered 6x6 minors pass the oracle limit, but their ground-12
+    # straightening runs out of memory; any callee's MemoryError must end in
+    # one error line and exit 1, never a traceback.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "normal_form", exhausted)
+    code, out, err = run_cli(capsys, "straighten", "[2|2][1|1]")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory: the input is too large to process\n"
+
+
+@slow
+def test_relations_n7_verifies_every_family(capsys):
+    # The packed sigma rows at ground 7: 429 fields of 32 bits each.
+    code, out, _ = run_cli(capsys, "relations", "--n", "7", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["verified"] and not report["oracleChecked"]
+    assert {f["family"]: (f["instances"], f["failed"]) for f in report["families"]} == {
+        "theorem1": (16384, []), "cor1": (279936, []), "cor2": (16384, []), "laplace": (256, []),
+    }
 
 
 def test_long_standard_word_prints_itself(capsys):

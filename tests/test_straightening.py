@@ -28,7 +28,7 @@ from straightlaw import (
     straightening,
 )
 
-from conftest import all_subsets, size_matched_minors
+from conftest import all_subsets, size_matched_minors, slow
 
 index_sets = st.sets(st.integers(1, 8), max_size=6).map(IndexSet)
 
@@ -216,7 +216,7 @@ def test_straighten_laplace_survives_a_cleared_cache(monkeypatch):
     assert after == before
 
 
-@pytest.mark.skipif(os.environ.get("STRAIGHTLAW_SLOW") != "1", reason="slow: set STRAIGHTLAW_SLOW=1")
+@slow
 def test_straighten_laplace_n8_stays_inside_32_bit_fields(monkeypatch):
     # Every size-matched pair at ground 8, from cold caches, checked by value
     # at a seeded integer matrix. Every bound a packed sum is checked against
