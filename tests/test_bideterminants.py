@@ -30,6 +30,7 @@ from straightlaw import (
     relation_inclusion_exclusion,
     xvar,
 )
+from straightlaw import bideterminants
 from straightlaw.bideterminants import (
     _avoiding_231,
     _good_pairs,
@@ -157,6 +158,18 @@ def test_check_relation_examples():
     assert check_relation(rel)
     assert not check_relation(LaplaceCombination(2, {(IndexSet([1]), IndexSet([1])): 1}))
     assert check_relation(LaplaceCombination(2))
+
+
+def test_every_check_proves_its_basis(monkeypatch):
+    # The proof runs on a check of any combination, the empty one included:
+    # a basis that does not span must raise, not pass.
+    monkeypatch.setattr(bideterminants, "_avoiding_231", lambda n: [tuple(range(n))] * _catalan(n))
+    bideterminants._sigma_basis.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="^sigma basis at ground 3 is not independent over GF"):
+            check_relation(LaplaceCombination(3))
+    finally:
+        bideterminants._sigma_basis.cache_clear()
 
 
 def test_check_relation_refuses_large_ground():
