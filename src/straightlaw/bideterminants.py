@@ -340,8 +340,9 @@ def check_relation(rel: LaplaceCombination) -> bool:
     each term adds coeff times its packed sigma row (_matching_perms_cached),
     one 32-bit field per basis permutation. Every field's sum lies within
     the sum of |coeff|; while that is below SIGMA_CHECK_COEFF_LIMIT (2**31),
-    a packed total of such fields is 0 only if every field is. Refuses ground sizes above SIGMA_CHECK_MAX_GROUND and
-    combinations whose sum of |coeff| reaches SIGMA_CHECK_COEFF_LIMIT.
+    a packed total of such fields is 0 only if every field is. Refuses
+    ground sizes above SIGMA_CHECK_MAX_GROUND and combinations whose sum of
+    |coeff| reaches SIGMA_CHECK_COEFF_LIMIT.
     """
     n = rel.ground
     if n > SIGMA_CHECK_MAX_GROUND:

@@ -24,7 +24,6 @@ from straightlaw import (
 )
 
 
-
 def slow(test):
     """Mark a test that takes seconds to minutes: it is skipped unless
     STRAIGHTLAW_SLOW=1, and `pytest -m slow` selects every such test."""
