@@ -182,15 +182,16 @@ class LaplaceCombination(Combination):
 
     @classmethod
     def _from_blocks(cls, ground: int, blocks: Iterable) -> "LaplaceCombination":
-        """A combination from (keys, coeff) blocks, every key of a block
-        taking its coeff. Keys must already be canonical: size-matched
-        IndexSet pairs inside a checked ground, as the relation builders
-        emit them. Terms keep the order of their first key."""
+        """A combination from (row sets, column sets, coeff) blocks, every
+        pair of a block's product taking its coeff. Keys must already be
+        canonical: size-matched IndexSet pairs inside a checked ground, as
+        the relation builders emit them. Terms keep the order of their first
+        key, rows outer and columns inner within a block."""
         keys: list = []
         coeffs: list = []
-        for block, coeff in blocks:
+        for us, ws, coeff in blocks:
             start = len(keys)
-            keys += block
+            keys += itertools.product(us, ws)
             coeffs += repeat(coeff, len(keys) - start)
         terms = dict(zip(keys, coeffs))
         if len(terms) < len(keys):  # some key repeats: sum, then drop zeros
@@ -378,27 +379,35 @@ def relation_fundamental(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination
 def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) -> LaplaceCombination:
     """Signed refinement of the fundamental relation by a pinned subset c of
     b: column sets range over c <= v <= b on one side, while the other side
-    alternates over subsets w of c removed from b. A w with |b| - |w| < |a|
-    adds nothing (no row set u >= a is that small) and is not visited."""
+    alternates over subsets w of c removed from b."""
+    return LaplaceCombination._from_blocks(n, inclusion_exclusion_blocks(a, b, c, n))
+
+
+def inclusion_exclusion_blocks(a: IndexSet, b: IndexSet, c: IndexSet, n: int) -> list:
+    """The blocks of relation_inclusion_exclusion: ((a,), the v with
+    c <= v <= b and |v| = |a|, 1), then for every w <= c removed from b
+    (the row sets u >= a of size |b - w|, (b - w,), -(-1)**|w|). A w with
+    |b| - |w| < |a| adds nothing (no row set u >= a is that small) and is
+    not visited."""
     a, b, c = check_ground(n, a, b, c)
-    blocks = [(zip(repeat(a), _between(c, b, len(a))), 1)]
+    blocks = [((a,), _between(c, b, len(a)), 1)]
     full = full_set(n)
     for size in range(min(len(c), len(b) - len(a)) + 1):
         sign = -parity_sign(size)
         for w in _between(EMPTY, c, size):
             bw = from_mask(b & ~w)
-            blocks.append((zip(_between(a, full, len(bw)), repeat(bw)), sign))
-    return LaplaceCombination._from_blocks(n, blocks)
+            blocks.append((_between(a, full, len(bw)), (bw,), sign))
+    return blocks
 
 
-def superset_blocks(a: IndexSet, b: IndexSet, n: int) -> list[tuple[IndexSet, int, tuple[IndexSet, ...]]]:
+def superset_blocks(a: IndexSet, b: IndexSet, n: int) -> list:
     """The superset part of relation_complementary, one block per column
-    set: (w, (-1)**(n - |w|), the row sets u >= a of size |w|) for every
+    set: (the row sets u >= a of size |w|, (w,), (-1)**(n - |w|)) for every
     w >= b, starting with w = b. When |a| = |b| the w = b block holds a
     alone."""
     a, b = check_ground(n, a, b)
     full = full_set(n)
-    return [(w, parity_sign(n - len(w)), _between(a, full, len(w))) for w in _between(b, full)]
+    return [(_between(a, full, len(w)), (w,), parity_sign(n - len(w))) for w in _between(b, full)]
 
 
 def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
@@ -406,9 +415,8 @@ def relation_complementary(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombinati
     (u, w) of (a, b) minus the sum over column subsets v of b taken against
     the complement of v. The second sum is empty when |a| + |b| < n."""
     a, b = check_ground(n, a, b)
-    blocks = [(zip(us, repeat(w)), sign) for w, sign, us in superset_blocks(a, b, n)]
-    blocks.append((zip(repeat(a), map(complement, _between(EMPTY, b, n - len(a)), repeat(n))), -1))
-    return LaplaceCombination._from_blocks(n, blocks)
+    tail = ((a,), tuple(complement(v, n) for v in _between(EMPTY, b, n - len(a))), -1)
+    return LaplaceCombination._from_blocks(n, superset_blocks(a, b, n) + [tail])
 
 
 def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCombination:
@@ -418,8 +426,8 @@ def laplace_expansion(fixed: IndexSet, n: int, side: str = "cols") -> LaplaceCom
         raise ValueError(f"side must be 'rows' or 'cols', got {side!r}")
     (fixed,) = check_ground(n, fixed)
     others = _between(EMPTY, full_set(n), len(fixed))
-    keys = zip(others, repeat(fixed)) if side == "cols" else zip(repeat(fixed), others)
-    return LaplaceCombination._from_blocks(n, [(((EMPTY, EMPTY),), 1), (keys, -1)])
+    block = (others, (fixed,), -1) if side == "cols" else ((fixed,), others, -1)
+    return LaplaceCombination._from_blocks(n, [((EMPTY,), (EMPTY,), 1), block])
 
 
 RELATION_FAMILIES = ("theorem1", "cor1", "cor2", "laplace")

@@ -28,7 +28,7 @@ from .bideterminants import (
     LaplaceCombination,
     Minor,
     WordCombination,
-    relation_inclusion_exclusion,
+    inclusion_exclusion_blocks,
     superset_blocks,
 )
 
@@ -88,10 +88,12 @@ def merge_map(u1: IndexSet, u2: IndexSet) -> MergeMap:
 # cleared on its own.
 _STRAIGHTEN_CACHE: dict[tuple[IndexSet, IndexSet, int], tuple[int, int]] = {}
 
-# Superset block sums of the small-pair rule, keyed by (a, w, ground):
-# (packed, bound), the packed sum of the results of every (u, w) with u >= a
-# and |u| = |w|, and the sum of their maxabs. Every column set b < w of size
-# |a| shares the entry. Like the results, entries index into _SLOTS.
+# Superset block sums S(a, w) of _solve, keyed by (a, w, ground): (packed,
+# bound), the packed sum of the results of every (u, w) with u >= a and
+# |u| = |w|, and the sum of their maxabs. Both straightening rules share the
+# entries: every target (a, b) with b > w, small or with a bad column set.
+# A block whose only row set is a is the result of (a, w) itself and is not
+# stored. Like the results, entries index into _SLOTS.
 _SUPERSET_SUMS: dict[tuple[IndexSet, IndexSet, int], tuple[int, int]] = {}
 
 # ground -> (pair code -> slot, slot -> pair code); the good pair (u, w) at
@@ -172,12 +174,17 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
     if is_good(a, n) and is_good(b, n):
         result = (1 << _FIELD * _slot(a | b << n, n), 1)
     elif 2 * len(a) < n:
-        result = _straighten_small(a, b, n)
+        # Small pair: solve the superset part of relation_complementary,
+        #     sum over w >= b of (-1)**(n - |w|) * S(a, w) = 0;
+        # its complement tail is empty when 2|a| < n.
+        result = _solve(a, b, superset_blocks(a, b, n), n)
     elif not is_good(b, n):
         # Minimal-violation rewrite on the column side: pin the first place
-        # where b exceeds its complement, enlarge b there, and trade through
-        # the signed refinement relation. Every other stored term keeps the
-        # row set comparable and strictly lowers the column set.
+        # where b exceeds its complement, enlarge b there to d, and solve the
+        # inclusion-exclusion relation of (a, d) pinned at c. b occurs in it
+        # once, as d - (c - b): c holds an element outside b, so no v >= c
+        # is b. Every other term keeps the row set comparable and strictly
+        # lowers the column set.
         bc = complement(b, n)
         nu = next(
             v for v, (i_v, j_v) in enumerate(zip(b.elements, bc.elements), start=1)
@@ -186,8 +193,7 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
         prefix = bc.elements[:nu]
         c = IndexSet(prefix + b.elements[nu - 1:])
         d = from_mask(b | c)
-        rel = relation_inclusion_exclusion(a, d, c, n)
-        result = _eliminate(rel, a, b, n)
+        result = _solve(a, b, inclusion_exclusion_blocks(a, d, c, n), n)
     else:
         # Only the row set is bad: straighten the transposed product and swap
         # the coordinates back (a Laplace product is symmetric under
@@ -201,43 +207,42 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
     return result
 
 
-def _eliminate(rel: LaplaceCombination, a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
-    """Solve a vanishing combination for its (a, b) term and recurse on the
-    remaining terms, which must sit strictly lower in the order. Each term
-    adds its packed result whole, so the work per term is one big-int
-    operation, whatever the size of that result."""
-    eps = rel.coefficient(a, b)
+def _solve(a: IndexSet, b: IndexSet, blocks, n: int) -> tuple[int, int]:
+    """Solve a vanishing relation, given as (row sets, column sets, sign)
+    blocks whose row sets are the u >= a of the column set's size, for its
+    (a, b) term. Column b must sit alone, with the row sets (a,), so that the
+    target carries the unit coefficient eps of its block; then
+        (a, b) = -eps * sum over the other column sets w of sign * S(a, w),
+    and every other w must lie strictly below b. Each S(a, w) is one packed
+    block sum (_superset_sum), cached and shared by every target whose
+    relation holds it, so the work per column set is one big-int
+    operation."""
+    eps = None
+    acc = bound = 0
+    for us, ws, sign in blocks:
+        for w in ws:
+            if w == b:
+                if eps is not None or us != (a,):
+                    raise RuntimeError(
+                        f"target {a}|{b} is not alone in its block of the relation; this is a bug")
+                eps = sign
+                continue
+            # Strict decrease in the pair order at every recursion edge is
+            # what makes the recursion terminate.
+            if not lt(w, b):
+                raise RuntimeError(f"no strict drop from {a}|{b} to column set {w}; this is a bug")
+            packed, block_bound = _superset_sum(a, w, us, n)
+            if sign == 1:
+                acc += packed
+            else:
+                acc -= packed
+            bound += block_bound
     if eps not in (1, -1):
         raise RuntimeError(
-            f"target {a}|{b} does not appear with unit coefficient in {rel}; this is a bug"
-        )
-    row_drops: dict = {}
-    col_drops: dict = {}
-    acc = bound = 0
-    for (u, w), coeff in rel._terms.items():
-        if u == a and w == b:
-            continue
-        # Strict decrease in the pair order at every recursion edge is what
-        # makes the recursion terminate. Relations repeat their row and
-        # column sets, so each is compared once.
-        row_drop = row_drops.get(u)
-        if row_drop is None:
-            row_drop = row_drops[u] = leq(u, a)
-        col_drop = col_drops.get(w)
-        if col_drop is None:
-            col_drop = col_drops[w] = lt(w, b)
-        if not (row_drop and col_drop):
-            raise RuntimeError(f"no strict drop from {a}|{b} to {u}|{w}; this is a bug")
-        packed, maxabs = _straighten(u, w, n)
-        scale = -eps * coeff
-        if scale == 1:
-            acc += packed
-        elif scale == -1:
-            acc -= packed
-        else:
-            acc += scale * packed
-        bound += abs(scale) * maxabs
+            f"target {a}|{b} does not appear with unit coefficient in its relation; this is a bug")
     _checked(bound, a, b)
+    if eps == 1:
+        acc = -acc
     return acc, _maxabs(acc, n)
 
 
@@ -256,50 +261,19 @@ def _checked(bound: int, a: IndexSet, b: IndexSet, what: str = "straightening") 
         )
 
 
-def _straighten_small(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
-    """Straighten a pair with 2|a| < n by solving relation_complementary for
-    it. Its complement tail is empty there, so the relation is
-        sum over w >= b of (-1)**(n - |w|) * S(a, w) = 0,
-    where S(a, w) sums the products (u, w) with u >= a and |u| = |w|. The
-    w = b block is the target alone, with the unit coefficient eps, so
-        (a, b) = -eps * sum over w > b of (-1)**(n - |w|) * S(a, w).
-    Every (u, w) in a block with w > b lies strictly below (a, b) in both
-    coordinates, and S(a, w) does not depend on b: it is cached in
-    _SUPERSET_SUMS, shared by every b < w of size |a|."""
-    eps = None
-    acc = bound = 0
-    for w, sign, us in superset_blocks(a, b, n):
-        if w == b:
-            if us == (a,):
-                eps = sign
-            continue
-        if not lt(w, b):
-            raise RuntimeError(f"no strict drop from {a}|{b} to column set {w}; this is a bug")
-        packed, block_bound = _superset_sum(a, w, us, n)
-        if sign == 1:
-            acc += packed
-        else:
-            acc -= packed
-        bound += block_bound
-    if eps is None:
-        raise RuntimeError(
-            f"target {a}|{b} is not alone in the w = b block of its relation; this is a bug")
-    _checked(bound, a, b)
-    if eps == 1:
-        acc = -acc
-    return acc, _maxabs(acc, n)
-
-
 def _superset_sum(a: IndexSet, w: IndexSet, us: tuple[IndexSet, ...], n: int) -> tuple[int, int]:
-    """S(a, w) of _straighten_small: the packed sum of the results of the
-    (u, w) for the row sets u in us, and the sum of their maxabs."""
+    """S(a, w) of _solve: the packed sum of the results of the (u, w) for the
+    row sets u in us, and the sum of their maxabs. With us = (a,) that is the
+    result of (a, w) itself, which is returned as it is."""
+    if us == (a,):
+        return _straighten(a, w, n)
     key = (a, w, n)
     hit = _SUPERSET_SUMS.get(key)
     if hit is not None:
         return hit
     acc = bound = 0
     for u in us:
-        if not lt(u, a):
+        if not leq(u, a):
             raise RuntimeError(f"no strict drop from row set {a} to {u}|{w}; this is a bug")
         packed, maxabs = _straighten(u, w, n)
         acc += packed
@@ -313,8 +287,11 @@ def _superset_sum(a: IndexSet, w: IndexSet, us: tuple[IndexSet, ...], n: int) ->
 def straighten_pair(first: Minor, second: Minor) -> WordCombination:
     """Rewrite a product of two minors.
 
-    If (rows1, cols1) <= (rows2, cols2) the product is returned unchanged; if
-    either factor is size-mismatched the result is zero. Otherwise both row
+    If (rows1, cols1) <= (rows2, cols2) the product is returned unchanged,
+    and if (rows2, cols2) <= (rows1, cols1) with its factors swapped: minors
+    commute, and standard words are linearly independent, so that standard
+    word is the product's only standard form. If either factor is
+    size-mismatched the result is zero. Otherwise both row
     sets and both column sets are merged order-preservingly into {1..k},
     the corresponding Laplace product of the k x k pullback matrix is
     straightened, terms on which a merge map fails to be injective are
@@ -332,6 +309,8 @@ def straighten_pair(first: Minor, second: Minor) -> WordCombination:
         return WordCombination()
     if leq_pair(first, second):
         return WordCombination({(first, second): 1})
+    if leq_pair(second, first):
+        return WordCombination({(second, first): 1})
 
     phi = merge_map(first.rows, second.rows)
     psi = merge_map(first.cols, second.cols)

@@ -383,13 +383,17 @@ def test_relation_inclusion_exclusion_examples():
 
 
 def test_from_blocks_sums_repeated_keys():
-    p = (IndexSet([1]), IndexSet([1]))
-    q = (IndexSet([2]), IndexSet([1]))
-    r = (IndexSet([1, 2]), IndexSet([1, 3]))
-    distinct = LaplaceCombination._from_blocks(3, [((p, q), 1), ((r,), -2)])
+    one, two, three = IndexSet([1]), IndexSet([2]), IndexSet([3])
+    p, q, r = (one, one), (two, one), (IndexSet([1, 2]), IndexSet([1, 3]))
+    distinct = LaplaceCombination._from_blocks(3, [((one, two), (one,), 1), ((r[0],), (r[1],), -2)])
     assert list(distinct._terms.items()) == [(p, 1), (q, 1), (r, -2)]
+    # every pair of a block's product takes its coeff, rows outer
+    square = LaplaceCombination._from_blocks(3, [((one, two), (one, three), 3)])
+    assert list(square._terms) == [p, (one, three), q, (two, three)]
+    assert set(square._terms.values()) == {3}
     # q repeats across blocks and is summed; p cancels and is not stored
-    summed = LaplaceCombination._from_blocks(3, [((p, q), 1), (iter((q, r)), 2), ((p,), -1)])
+    summed = LaplaceCombination._from_blocks(
+        3, [((one, two), (one,), 1), ((two,), (one,), 2), ((r[0],), (r[1],), 2), ((one,), (one,), -1)])
     assert list(summed._terms.items()) == [(q, 3), (r, 2)]
     assert summed == LaplaceCombination(3, {q: 3, r: 2})
 
@@ -454,14 +458,15 @@ def test_superset_blocks_rebuild_relation_complementary():
                     continue
                 blocks = superset_blocks(a, b, n)
                 tail = _complementary_tail(a, b, n)
+                assert all(len(ws) == 1 for _, ws, _ in blocks)
                 rebuilt = LaplaceCombination(
-                    n, [((u, w), sign) for w, sign, us in blocks for u in us] + tail)
+                    n, [((u, w), sign) for us, ws, sign in blocks for u in us for w in ws] + tail)
                 assert rebuilt == _complementary_reference(a, b, n)
                 assert relation_complementary(a, b, n) == rebuilt
                 if 2 * len(a) < n:
                     assert not tail
-                assert [us for w, _, us in blocks if w == b] == [(a,)]
-                assert blocks[0][0] == b
+                assert [us for us, ws, _ in blocks if ws == (b,)] == [(a,)]
+                assert blocks[0][1] == (b,)
 
 
 def test_laplace_expansion_examples():

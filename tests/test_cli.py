@@ -220,6 +220,21 @@ def test_relations_n7_verifies_every_family(capsys):
     }
 
 
+@slow
+def test_unordered_6x6_pair_straightens_and_verifies(capsys):
+    # The two minors are only out of order: the swapped word is standard and
+    # is the product's normal form, reached without the ground-12 Laplace
+    # straightening. What takes the time is the oracle, 720**2 products.
+    high, low = "[7 8 9 10 11 12|7 8 9 10 11 12]", "[1 2 3 4 5 6|1 2 3 4 5 6]"
+    code, out, err = run_cli(capsys, "straighten", high + low)
+    assert code == 0 and err == ""
+    cert = json.loads(out)
+    assert cert["standard"] and cert["oracleVerified"] and cert["contentPreserved"]
+    six, twelve = list(range(1, 7)), list(range(7, 13))
+    assert cert["terms"] == [{"coeff": 1, "factors": [{"rows": six, "cols": six},
+                                                      {"rows": twelve, "cols": twelve}]}]
+
+
 def test_long_standard_word_prints_itself(capsys):
     # Normalization is a loop, not a recursion, so a standard word far
     # longer than the recursion limit is its own normal form.

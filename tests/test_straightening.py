@@ -216,6 +216,34 @@ def test_straighten_laplace_survives_a_cleared_cache(monkeypatch):
     assert after == before
 
 
+def test_inclusion_exclusion_blocks_meet_the_solver_precondition(monkeypatch):
+    # A pair with 2|a| >= n and a bad column set b is solved from
+    # inclusion_exclusion_blocks(a, d, c, n). _solve needs every column set
+    # of those blocks distinct, b among them once with the row sets (a,),
+    # and every other column set strictly below b.
+    solve = straightening._solve
+    seen = set()
+
+    def spy(a, b, blocks, n):
+        if 2 * len(a) >= n:
+            columns = [w for _, ws, _ in blocks for w in ws]
+            assert len(set(columns)) == len(columns), (a, b)
+            assert [us for us, ws, _ in blocks if b in ws] == [(a,)], (a, b)
+            assert all(lt(w, b) for w in columns if w != b), (a, b)
+            seen.add((a, b, n))
+        return solve(a, b, blocks, n)
+
+    monkeypatch.setattr(straightening, "_solve", spy)
+    for n in range(1, 7):
+        monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
+        monkeypatch.setattr(straightening, "_SUPERSET_SUMS", {})
+        pairs = _size_matched_pairs(n)
+        for a, b in pairs:
+            straighten_laplace(a, b, n)
+        assert {(a, b) for a, b, m in seen if m == n} == {
+            (a, b) for a, b in pairs if 2 * len(a) >= n and not is_good(b, n)}
+
+
 @slow
 def test_straighten_laplace_n8_stays_inside_32_bit_fields(monkeypatch):
     # Every size-matched pair at ground 8, from cold caches, checked by value
@@ -297,6 +325,26 @@ def test_straighten_pair_reversed_singletons():
         (Minor([1, 2], [1, 2]), Minor(EMPTY, EMPTY)): -1,
     })
     assert out.expand() == expand_minor(f1) * expand_minor(f2)
+
+
+def test_straighten_pair_swaps_a_pair_that_is_only_out_of_order(monkeypatch):
+    # Minors commute, so when the second factor is below the first the
+    # swapped word is standard, and it is the pair's only standard form; it
+    # is returned without a Laplace straightening.
+    def refused(*args):
+        raise AssertionError("straighten_laplace called")
+
+    monkeypatch.setattr(straightening, "straighten_laplace", refused)
+    uncached = straighten_pair.__wrapped__
+    swapped = 0
+    minors = size_matched_minors(3, 3) + [Minor(range(7, 13), range(7, 13)), Minor(range(1, 7), range(1, 7))]
+    for f1 in minors:
+        for f2 in minors:
+            if leq_pair(f2, f1) and not leq_pair(f1, f2):
+                out = uncached(f1, f2)
+                assert out == WordCombination({(f2, f1): 1})
+                swapped += 1
+    assert swapped > 100
 
 
 def test_straighten_pair_zero_factor():

@@ -11,7 +11,6 @@ import pytest
 
 from straightlaw import (
     IndexSet,
-    LaplaceCombination,
     Minor,
     WordCombination,
     normal_form,
@@ -32,11 +31,11 @@ A, B, N = IndexSet([1]), IndexSet([2]), 3
 def test_strict_drop_is_checked(monkeypatch):
     # A relation term that does not drop would send the recursion back to
     # its own input; the check must refuse it before recursing. The blocks
-    # replace superset_blocks(A, B, N): the w = B block is the target alone,
-    # and the row set {2,3} of the next block is not below A = {1}.
+    # replace superset_blocks(A, B, N): the column B block is the target
+    # alone, and the row set {2,3} of the next block is not below A = {1}.
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: [
-        (B, 1, (A,)), (IndexSet([1, 2]), -1, (IndexSet([2, 3]),))])
+        ((A,), (B,), 1), ((IndexSet([2, 3]),), (IndexSet([1, 2]),), -1)])
     with pytest.raises(RuntimeError, match="no strict drop from row set"):
         straighten_laplace(A, B, N)
 
@@ -46,29 +45,38 @@ def test_column_drop_is_checked(monkeypatch):
     # whose column set {3,4} is not below B = {2}.
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: [
-        (B, 1, (A,)), (IndexSet([3, 4]), 1, (IndexSet([1, 2]),))])
+        ((A,), (B,), 1), ((IndexSet([1, 2]),), (IndexSet([3, 4]),), 1)])
     with pytest.raises(RuntimeError, match="no strict drop .* to column set"):
         straighten_laplace(A, B, 4)
 
 
 def test_strict_drop_is_checked_on_inclusion_exclusion(monkeypatch):
     # ({1}, {2}) at ground 2 is not small and its column set is bad, so it is
-    # solved from relation_inclusion_exclusion by _eliminate.
+    # solved from inclusion_exclusion_blocks; here the term (b, a) does not
+    # lower the row set.
     a, b, n = IndexSet([1]), IndexSet([2]), 2
     _fresh_caches(monkeypatch)
-    monkeypatch.setattr(straightening, "relation_inclusion_exclusion",
-                        lambda *args: LaplaceCombination(n, {(a, b): 1, (b, a): 1}))
-    with pytest.raises(RuntimeError, match="no strict drop"):
+    monkeypatch.setattr(straightening, "inclusion_exclusion_blocks",
+                        lambda *args: [((a,), (b,), 1), ((b,), (a,), 1)])
+    with pytest.raises(RuntimeError, match="no strict drop from row set"):
         straighten_laplace(a, b, n)
 
 
 def test_target_block_is_checked(monkeypatch):
-    # The w = b block must hold the target alone: only then does it carry
-    # the unit coefficient the small-pair rule divides by.
-    _fresh_caches(monkeypatch)
-    monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: [(B, 1, (A, IndexSet([3])))])
-    with pytest.raises(RuntimeError, match="is not alone"):
-        straighten_laplace(A, B, N)
+    # Column B must occur once, with the row sets (A,): only then does the
+    # target carry the unit coefficient the solver divides by.
+    lower = ((IndexSet([1, 2]),), (IndexSet([1, 3]),), 1)
+    cases = [
+        ([((A, IndexSet([3])), (B,), 1)], "is not alone"),
+        ([((A,), (B,), 1), lower, ((A,), (B,), -1)], "is not alone"),
+        ([lower], "unit coefficient"),
+        ([((A,), (B,), 2), lower], "unit coefficient"),
+    ]
+    for blocks, message in cases:
+        _fresh_caches(monkeypatch)
+        monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: blocks)
+        with pytest.raises(RuntimeError, match=message):
+            straighten_laplace(A, B, N)
 
 
 def _inflated_bounds(monkeypatch):
