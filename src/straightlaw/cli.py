@@ -32,9 +32,12 @@ CERT_SCHEMA = "straightlaw-cert/1"
 ORACLE_MAX_GROUND = 4
 # Largest oracle cost, in monomial products, that straighten and verify accept
 # for the input and for the claimed terms (see _check_oracle_cost). A certify
-# request costs at most 2 x 24**3 = 27,648; the product of two 6x6 minors,
-# 518,400, straightens and verifies in about 2 s on a 2-core x86-64 VM; two
-# 7x7 minors would cost 25,401,600.
+# request costs at most 2 x 24**3 = 27,648; two 7x7 minors would cost
+# 25,401,600. Two 6x6 minors cost 518,400: a pair ordered either way round
+# straightens and verifies in about 3 s on a 2-core x86-64 VM. A pair ordered
+# neither way is not bounded by this limit: the disjoint pair
+# [7..12|1..6][1..6|7..12] straightens to 924 words, and expanding them runs
+# out of memory (after about 25 s under a 2 GB address-space limit).
 ORACLE_MAX_TERMS = 1_000_000
 
 EXIT_OK = 0
@@ -451,8 +454,8 @@ def _build_parser() -> _Parser:
         "relations",
         help="sweep a relation family and certify every instance "
              "(sigma criterion; oracle expansion too for n <= 4; "
-             "all four families took 3 s at --n 6, 26 s at --n 7 and "
-             "6 min at --n 8 on a 2-core VM)",
+             "all four families took 1.5 s at --n 6, 12-15 s at --n 7 and "
+             "4 min at --n 8 on a 2-core VM)",
     )
     p.add_argument("--n", type=int, required=True, help="ground size (square matrix)")
     p.add_argument("--family", choices=RELATION_FAMILIES, default=None,
@@ -495,7 +498,7 @@ def main(argv=None) -> int:
     except RecursionError:  # deeply nested JSON
         print("error: input nested too deeply or too long to process", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:  # e.g. the ground-12 straightening of two unordered 6x6 minors
+    except MemoryError:  # e.g. two 6x6 minors ordered neither way (see ORACLE_MAX_TERMS)
         print("error: out of memory: the input is too large to process", file=sys.stderr)
         return EXIT_USAGE
 

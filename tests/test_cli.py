@@ -197,9 +197,10 @@ def test_over_deep_input_is_a_one_line_error(argv, stdin, monkeypatch, capsys):
 
 
 def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
-    # Two unordered 6x6 minors pass the oracle limit, but their ground-12
-    # straightening runs out of memory; any callee's MemoryError must end in
-    # one error line and exit 1, never a traceback.
+    # Two 6x6 minors ordered neither way pass the oracle limit, but the
+    # oracle on their 924 straightened words runs out of memory; any
+    # callee's MemoryError must end in one error line and exit 1, never a
+    # traceback.
     def exhausted(*args, **kwargs):
         raise MemoryError
 
