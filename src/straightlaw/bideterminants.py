@@ -380,6 +380,7 @@ def relation_inclusion_exclusion(a: IndexSet, b: IndexSet, c: IndexSet, n: int) 
     """Signed refinement of the fundamental relation by a pinned subset c of
     b: column sets range over c <= v <= b on one side, while the other side
     alternates over subsets w of c removed from b."""
+    a, b, c = check_ground(n, a, b, c)
     return LaplaceCombination._from_blocks(n, inclusion_exclusion_blocks(a, b, c, n))
 
 
@@ -388,8 +389,7 @@ def inclusion_exclusion_blocks(a: IndexSet, b: IndexSet, c: IndexSet, n: int) ->
     c <= v <= b and |v| = |a|, 1), then for every w <= c removed from b
     (the row sets u >= a of size |b - w|, (b - w,), -(-1)**|w|). A w with
     |b| - |w| < |a| adds nothing (no row set u >= a is that small) and is
-    not visited."""
-    a, b, c = check_ground(n, a, b, c)
+    not visited. Callers pass IndexSets already checked against n."""
     blocks = [((a,), _between(c, b, len(a)), 1)]
     full = full_set(n)
     for size in range(min(len(c), len(b) - len(a)) + 1):
@@ -404,8 +404,7 @@ def superset_blocks(a: IndexSet, b: IndexSet, n: int) -> list:
     """The superset part of relation_complementary, one block per column
     set: (the row sets u >= a of size |w|, (w,), (-1)**(n - |w|)) for every
     w >= b, starting with w = b. When |a| = |b| the w = b block holds a
-    alone."""
-    a, b = check_ground(n, a, b)
+    alone. Callers pass IndexSets already checked against n."""
     full = full_set(n)
     return [(_between(a, full, len(w)), (w,), parity_sign(n - len(w))) for w in _between(b, full)]
 

@@ -30,14 +30,14 @@ from .standard import content, is_standard, normal_form
 
 CERT_SCHEMA = "straightlaw-cert/1"
 ORACLE_MAX_GROUND = 4
-# Largest oracle cost, in monomial products, that straighten and verify accept
-# for the input and for the claimed terms (see _check_oracle_cost). A certify
-# request costs at most 2 x 24**3 = 27,648; two 7x7 minors would cost
-# 25,401,600. Two 6x6 minors cost 518,400: a pair ordered either way round
-# straightens and verifies in about 3 s on a 2-core x86-64 VM. A pair ordered
-# neither way is not bounded by this limit: the disjoint pair
-# [7..12|1..6][1..6|7..12] straightens to 924 words, and expanding them runs
-# out of memory (after about 25 s under a 2 GB address-space limit).
+# Largest oracle cost, in monomial products, that straighten accepts for the
+# input and for the straightened terms, and verify for the input and for the
+# claimed terms (see _check_oracle_cost). A certify request costs at most
+# 2 x 24**3 = 27,648; two 7x7 minors would cost 25,401,600. Two 6x6 minors
+# cost 518,400: a pair ordered either way round straightens and verifies in
+# about 3 s on a 2-core x86-64 VM. The disjoint pair [7..12|1..6][1..6|7..12]
+# straightens to 924 words costing 4,659,897,600 products, and is refused
+# before the oracle expands any of them.
 ORACLE_MAX_TERMS = 1_000_000
 
 EXIT_OK = 0
@@ -227,6 +227,7 @@ def build_certificate(text: str, m: int | None, n: int | None) -> dict:
     comb, m, n = _parse_with_dims(text, m, n)
     _check_oracle_cost(comb, "the input")
     result = normal_form(comb)
+    _check_oracle_cost(result, "the straightened terms")
     oracle_ok, standard_ok = _oracle_and_standard(result, comb)
     contents = [content(word) for word, _ in comb.items()]
     return {
@@ -498,7 +499,7 @@ def main(argv=None) -> int:
     except RecursionError:  # deeply nested JSON
         print("error: input nested too deeply or too long to process", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:  # e.g. two 6x6 minors ordered neither way (see ORACLE_MAX_TERMS)
+    except MemoryError:  # e.g. a ground-12 straightening under a tight memory limit
         print("error: out of memory: the input is too large to process", file=sys.stderr)
         return EXIT_USAGE
 

@@ -96,9 +96,9 @@ _STRAIGHTEN_CACHE: dict[tuple[IndexSet, IndexSet, int], tuple[int, int]] = {}
 # stored. Like the results, entries index into _SLOTS.
 _SUPERSET_SUMS: dict[tuple[IndexSet, IndexSet, int], tuple[int, int]] = {}
 
-# ground -> (pair code -> slot, slot -> pair code); the good pair (u, w) at
-# ground n has the code u | w << n.
-_SLOTS: defaultdict[int, tuple[dict[int, int], list[int]]] = defaultdict(lambda: ({}, []))
+# ground -> (pair code u | w << n -> slot, slot -> good pair (u, w)); every
+# decoded result takes its keys from these shared (u, w) tuples.
+_SLOTS: defaultdict[int, tuple[dict[int, int], list[tuple]]] = defaultdict(lambda: ({}, []))
 
 _FIELD = 32
 _FIELD_LIMIT = 1 << (_FIELD - 1)
@@ -113,12 +113,13 @@ def _offset(k: int) -> int:
     return ((1 << _FIELD * k) - 1) // ((1 << _FIELD) - 1) << (_FIELD - 1)
 
 
-def _slot(code: int, n: int) -> int:
-    slot_of, codes = _SLOTS[n]
+def _slot(u: IndexSet, w: IndexSet, n: int) -> int:
+    slot_of, pairs = _SLOTS[n]
+    code = u | w << n
     slot = slot_of.get(code)
     if slot is None:
-        slot = slot_of[code] = len(codes)
-        codes.append(code)
+        slot = slot_of[code] = len(pairs)
+        pairs.append((u, w))
     return slot
 
 
@@ -130,14 +131,14 @@ def _coefficients(packed: int, n: int) -> array:
 
 
 def _terms(packed: int, n: int):
-    """The (pair code, coeff) terms of a packed result, in slot order."""
+    """The ((u, w), coeff) terms of a packed result, in slot order."""
     coeffs = _coefficients(packed, n)
     return compress(zip(_SLOTS[n][1], coeffs), coeffs)
 
 
 def _encode(terms, n: int) -> int:
-    """The packed int of (pair code, coeff) terms, each |coeff| < 2**31."""
-    fields = [(_slot(code, n), coeff) for code, coeff in terms]
+    """The packed int of ((u, w), coeff) terms, each |coeff| < 2**31."""
+    fields = [(_slot(u, w, n), coeff) for (u, w), coeff in terms]
     k = len(_SLOTS[n][1])
     coeffs = array(_TYPECODE, bytes(_FIELD // 8 * k))
     for slot, coeff in fields:
@@ -154,14 +155,12 @@ def straighten_laplace(a: IndexSet, b: IndexSet, n: int) -> LaplaceCombination:
     A size-mismatched pair denotes zero and yields the empty combination.
     The expansion of the output equals the expansion of the input exactly.
     The packed result decodes to distinct pairs with nonzero coefficients,
-    which are stored as they are.
+    which are stored as they are, keyed by the slot registry's shared pairs.
     """
     a, b = check_ground(n, a, b)
     out = LaplaceCombination(n)
     if len(a) == len(b):
-        full = (1 << n) - 1
-        out._terms = {(from_mask(p & full), from_mask(p >> n)): c
-                      for p, c in _terms(_straighten(a, b, n)[0], n)}
+        out._terms = dict(_terms(_straighten(a, b, n)[0], n))
     return out
 
 
@@ -172,7 +171,7 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
         return hit
 
     if is_good(a, n) and is_good(b, n):
-        result = (1 << _FIELD * _slot(a | b << n, n), 1)
+        result = (1 << _FIELD * _slot(a, b, n), 1)
     elif 2 * len(a) < n:
         # Small pair: solve the superset part of relation_complementary,
         #     sum over w >= b of (-1)**(n - |w|) * S(a, w) = 0;
@@ -198,9 +197,8 @@ def _straighten(a: IndexSet, b: IndexSet, n: int) -> tuple[int, int]:
         # Only the row set is bad: straighten the transposed product and swap
         # the coordinates back (a Laplace product is symmetric under
         # transposition together with swapping its index sets).
-        full = (1 << n) - 1
         packed, maxabs = _straighten(b, a, n)
-        swapped = (((p >> n) | (p & full) << n, c) for p, c in _terms(packed, n))
+        swapped = (((w, u), c) for (u, w), c in _terms(packed, n))
         result = (_encode(swapped, n), maxabs)
 
     _STRAIGHTEN_CACHE[key] = result
@@ -228,8 +226,9 @@ def _solve(a: IndexSet, b: IndexSet, blocks, n: int) -> tuple[int, int]:
                 eps = sign
                 continue
             # Strict decrease in the pair order at every recursion edge is
-            # what makes the recursion terminate.
-            if not lt(w, b):
+            # what makes the recursion terminate. A proper superset of b is
+            # strictly below b, so only other column sets need lt.
+            if b & ~w and not lt(w, b):
                 raise RuntimeError(f"no strict drop from {a}|{b} to column set {w}; this is a bug")
             packed, block_bound = _superset_sum(a, w, us, n)
             if sign == 1:
@@ -273,7 +272,8 @@ def _superset_sum(a: IndexSet, w: IndexSet, us: tuple[IndexSet, ...], n: int) ->
         return hit
     acc = bound = 0
     for u in us:
-        if not leq(u, a):
+        # A superset of a is below a, so only other row sets need leq.
+        if a & ~u and not leq(u, a):
             raise RuntimeError(f"no strict drop from row set {a} to {u}|{w}; this is a bug")
         packed, maxabs = _straighten(u, w, n)
         acc += packed

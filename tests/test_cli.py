@@ -197,8 +197,7 @@ def test_over_deep_input_is_a_one_line_error(argv, stdin, monkeypatch, capsys):
 
 
 def test_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
-    # Two 6x6 minors ordered neither way pass the oracle limit, but the
-    # oracle on their 924 straightened words runs out of memory; any
+    # A large straightening can run out of memory under a tight limit; any
     # callee's MemoryError must end in one error line and exit 1, never a
     # traceback.
     def exhausted(*args, **kwargs):
@@ -327,6 +326,32 @@ def test_oracle_limit_covers_claimed_terms(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: the claimed terms would take the oracle ")
+
+
+def test_oracle_limit_covers_straightened_terms(monkeypatch, capsys):
+    # [2|1][1|2] costs the oracle 1 product and its normal form
+    # [1|1][2|2] - [1 2|1 2] costs 3: with the limit at the input's cost, the
+    # straightened terms are refused before the oracle expands anything.
+    def expand(self):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "ORACLE_MAX_TERMS", 1)
+    monkeypatch.setattr(WordCombination, "expand", expand)
+    code, out, err = run_cli(capsys, "straighten", "[2|1][1|2]")
+    assert code == 1 and out == ""
+    assert err == ("error: the straightened terms would take the oracle 3 monomial products, "
+                   "above the limit 1\n")
+
+
+@slow
+def test_disjoint_6x6_pair_is_refused_before_the_oracle(capsys):
+    # The pair is ordered neither way: it straightens at ground 12 to 924
+    # words, whose expansion would not fit in memory.
+    high, low = "[7 8 9 10 11 12|1 2 3 4 5 6]", "[1 2 3 4 5 6|7 8 9 10 11 12]"
+    code, out, err = run_cli(capsys, "straighten", high + low)
+    assert code == 1 and out == ""
+    assert err == ("error: the straightened terms would take the oracle 4659897600 monomial "
+                   f"products, above the limit {cli.ORACLE_MAX_TERMS}\n")
 
 
 def test_json_and_text_are_exclusive(capsys):

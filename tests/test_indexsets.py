@@ -16,6 +16,7 @@ from straightlaw import (
     lt,
     multiset_content,
     relation_fundamental,
+    relation_inclusion_exclusion,
     straighten_laplace,
     subsets,
     subsets_between,
@@ -173,6 +174,9 @@ def test_ground_error_messages():
         (lambda: straighten_laplace([1], [7], 4), "element 7 exceeds ground size 4"),
         (lambda: relation_fundamental(EMPTY, IndexSet([5]), 4), "element 5 exceeds ground size 4"),
         (lambda: laplace_expansion(IndexSet([5]), 4), "element 5 exceeds ground size 4"),
+        # the block builder trusts its caller, so the relation checks c itself
+        (lambda: relation_inclusion_exclusion(IndexSet([1]), IndexSet([1, 2]), IndexSet([5]), 4),
+         "element 5 exceeds ground size 4"),
     ]
     for call, message in checks:
         with pytest.raises(ValueError) as excinfo:

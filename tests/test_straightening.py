@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,31 @@ def test_straighten_laplace_survives_a_cleared_cache(monkeypatch):
     monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
     after += [straighten_laplace(a, b, 5) for a, b in pairs[half:]]
     assert after == before
+
+
+def test_slot_registry_holds_each_good_pair_once(monkeypatch):
+    # Every decoded result takes its keys from the slot -> (u, w) list, so
+    # after a cold sweep each slot must hold a distinct good pair whose code
+    # maps back to it.
+    monkeypatch.setattr(straightening, "_STRAIGHTEN_CACHE", {})
+    monkeypatch.setattr(straightening, "_SUPERSET_SUMS", {})
+    monkeypatch.setattr(straightening, "_SLOTS", defaultdict(lambda: ({}, [])))
+    for n in range(7):
+        for a, b in _size_matched_pairs(n):
+            straighten_laplace(a, b, n)
+        slot_of, pairs = straightening._SLOTS[n]
+        assert pairs and len(set(pairs)) == len(pairs) == len(slot_of)
+        for i, (u, w) in enumerate(pairs):
+            assert is_good(u, n) and is_good(w, n)
+            assert slot_of[u | w << n] == i
+
+
+def test_results_do_not_share_their_terms():
+    a, b, n = IndexSet([4, 5]), IndexSet([4, 5]), 5
+    first, second = straighten_laplace(a, b, n), straighten_laplace(a, b, n)
+    assert first == second and first._terms is not second._terms
+    first._terms.clear()
+    assert straighten_laplace(a, b, n) == second and second._terms
 
 
 def test_inclusion_exclusion_blocks_meet_the_solver_precondition(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from straightlaw import (
     IndexSet,
+    LaplaceCombination,
     Minor,
     WordCombination,
     normal_form,
@@ -18,6 +19,8 @@ from straightlaw import (
     straighten_laplace,
     straightening,
 )
+
+from conftest import all_subsets
 
 
 def _fresh_caches(monkeypatch):
@@ -77,6 +80,41 @@ def test_target_block_is_checked(monkeypatch):
         monkeypatch.setattr(straightening, "superset_blocks", lambda a, b, n: blocks)
         with pytest.raises(RuntimeError, match=message):
             straighten_laplace(A, B, N)
+
+
+def test_drop_checks_test_supersets_on_masks(monkeypatch):
+    # A proper superset is below its subset in the pair order, so the drop
+    # checks decide it on masks and call leq or lt only for other sets. Over
+    # a cold sweep at ground 6 every row set of a block sum is a superset,
+    # while the column rule's lower column sets still reach lt.
+    calls = []
+
+    def spy(check):
+        def counted(s, t):
+            calls.append((check, s, t))
+            return check(s, t)
+        return counted
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(straightening, "leq", spy(straightening.leq))
+    monkeypatch.setattr(straightening, "lt", spy(straightening.lt))
+    subsets = all_subsets(6)
+    for a in subsets:
+        for b in subsets:
+            if len(a) == len(b):
+                straighten_laplace(a, b, 6)
+    assert not [(s, t) for _, s, t in calls if s != t and not t & ~s]
+    assert {check.__name__ for check, _, _ in calls} == {"lt"}
+
+
+def test_lower_row_set_that_is_no_superset_passes(monkeypatch):
+    # {1,3} is below {2} in the pair order without containing it: the row
+    # drop check must fall back to leq and accept it.
+    _fresh_caches(monkeypatch)
+    a = IndexSet([2])
+    monkeypatch.setattr(straightening, "superset_blocks", lambda *args: [
+        ((a,), (a,), 1), ((IndexSet([1, 3]),), (IndexSet([1, 2]),), -1)])
+    assert straighten_laplace(a, a, N) == LaplaceCombination(N, {(IndexSet([1, 3]), IndexSet([1, 2])): 1})
 
 
 def _inflated_bounds(monkeypatch):
