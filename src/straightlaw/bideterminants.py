@@ -111,10 +111,14 @@ def canonicalize(word: Iterable[Minor]) -> MinorWord | None:
 
 @lru_cache(maxsize=None)
 def expand_word(word: MinorWord) -> Polynomial:
-    total = Polynomial.one()
-    for f in word:
-        total = total * _expand_minor(f.rows, f.cols)
-    return total
+    """The product of the factors' Leibniz expansions, as the product of the
+    cached expansions of the word's two halves. Every prefix and suffix of a
+    standard word is standard, so a sweep that expands shorter words first
+    pays one multiply per word; the recursion is log2(len(word)) deep."""
+    if len(word) < 2:
+        return _expand_minor(*word[0]) if word else Polynomial.one()
+    half = len(word) // 2
+    return expand_word(word[:half]) * expand_word(word[half:])
 
 
 def format_word(word: MinorWord) -> str:
@@ -439,15 +443,23 @@ def relation_family(n: int, family: str) -> Iterator[tuple[str, LaplaceCombinati
         raise ValueError(f"unknown relation family {family!r}; expected one of {RELATION_FAMILIES}")
     every = _between(EMPTY, full_set(n))
     label = {s: str(s) for s in every}
+    if family in ("theorem1", "cor1"):
+        # Every set comes from _between inside {1..n}: check the ground once
+        # here, not once per relation in relation_inclusion_exclusion.
+        check_ground(n)
+
+    def inclusion_exclusion(a, b, c):
+        return LaplaceCombination._from_blocks(n, inclusion_exclusion_blocks(a, b, c, n))
+
     if family == "theorem1":
         for a in every:
             for b in every:
-                yield f"A={label[a]} B={label[b]}", relation_fundamental(a, b, n)
+                yield f"A={label[a]} B={label[b]}", inclusion_exclusion(a, b, EMPTY)
     elif family == "cor1":
         for b in every:
             for c in _between(EMPTY, b):
                 for a in every:
-                    yield f"A={label[a]} B={label[b]} C={label[c]}", relation_inclusion_exclusion(a, b, c, n)
+                    yield f"A={label[a]} B={label[b]} C={label[c]}", inclusion_exclusion(a, b, c)
     elif family == "cor2":
         for a in every:
             for b in every:

@@ -6,12 +6,15 @@ factorization X = Y Z."""
 from __future__ import annotations
 
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable
 
 from .indexsets import IndexSet, is_good, leq, leq_pair, subsets
 from .polynomials import (
-    MONOMIAL_ONE,
     Monomial,
     Polynomial,
     exponents,
@@ -38,26 +41,26 @@ def minor_leading_monomial(a: IndexSet, b: IndexSet, N: int) -> Monomial:
     """Leading monomial, under the block order, of the minor (a|b) after the
     substitution X = Y Z through inner dimension N, with Y generic in y[i,v]
     and Z generic in z[j,v]: y[a_1,1]...y[a_p,p] * z[b_1,1]...z[b_p,p]. No
-    substitution is performed; N only has to be at least p."""
+    substitution is performed; N only has to be at least p. The monomial is
+    cached per (a, b); the checks run on every call."""
     if len(a) != len(b):
         raise ValueError(f"size mismatch: |{a}| != |{b}|")
     if N < len(a):
         raise ValueError(f"need N >= {len(a)}, got N={N}")
-    exps: dict = {}
-    for v, i in enumerate(a.elements, start=1):
-        exps[yvar(i, v)] = 1
-    for v, j in enumerate(b.elements, start=1):
-        exps[zvar(j, v)] = 1
+    return _leading_monomial(a, b)
+
+
+@lru_cache(maxsize=None)
+def _leading_monomial(a: IndexSet, b: IndexSet) -> Monomial:
+    exps = {yvar(i, v): 1 for v, i in enumerate(a.elements, start=1)}
+    exps.update((zvar(j, v), 1) for v, j in enumerate(b.elements, start=1))
     return monomial(exps)
 
 
 def word_leading_witness(word: MinorWord, N: int) -> Monomial:
     """Product of the factors' leading monomials; for a standard word this is
     the leading monomial of the substituted product."""
-    out = MONOMIAL_ONE
-    for f in word:
-        out = mul_monomials(out, minor_leading_monomial(f.rows, f.cols, N))
-    return out
+    return mul_monomials(*(minor_leading_monomial(f.rows, f.cols, N) for f in word))
 
 
 def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
@@ -65,8 +68,10 @@ def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
     y-variables (kind="rows") or z-variables (kind="cols").
 
     The longest set is peeled off first: its s-th element is the least index
-    carrying superscript s. Raises ValueError when the monomial is not a
-    product of witness factors for a chain.
+    carrying superscript s. The indices of each superscript are kept sorted,
+    with multiplicity, so peel t takes the t-th index of every superscript
+    that still has one. Raises ValueError when the monomial is not a product
+    of witness factors for a chain.
     """
     if kind == "rows":
         want = "y"
@@ -74,31 +79,25 @@ def decode_leading(mono: Monomial, kind: str) -> list[IndexSet]:
         want = "z"
     else:
         raise ValueError(f"kind must be 'rows' or 'cols', got {kind!r}")
-    remaining: dict[tuple[int, int], int] = {}
-    for v, e in exponents(mono).items():
-        if v[0] != want:
-            raise ValueError(f"expected only {want}-variables, found {v[0]}[{v[1]},{v[2]}]")
-        remaining[(v[1], v[2])] = e
+    by_sup: defaultdict[int, list[int]] = defaultdict(list)
+    for (k, i, s), e in exponents(mono).items():
+        if k != want:
+            raise ValueError(f"expected only {want}-variables, found {k}[{i},{s}]")
+        by_sup[s] += [i] * e
+    if 0 in by_sup:  # the only superscript below 1: they are never negative
+        raise ValueError("superscript 0 is below 1")
+    columns = [sorted(by_sup.get(s, ())) for s in range(1, max(by_sup, default=0) + 1)]
 
     chain: list[IndexSet] = []
-    while remaining:
-        least: dict[int, int] = {}
-        for idx, sup in remaining:
-            if idx < least.get(sup, idx + 1):
-                least[sup] = idx
-        if min(least) < 1:
-            raise ValueError(f"superscript {min(least)} is below 1")
-        depth = max(least)
-        for s in range(1, depth + 1):
-            if s not in least:
-                raise ValueError(f"no variable with superscript {s} while {depth} is present")
-        elems = [least[s] for s in range(1, depth + 1)]
-        if any(x >= y for x, y in zip(elems, elems[1:])):
+    for peel in zip_longest(*columns):
+        elems = list(peel)
+        while elems[-1] is None:
+            elems.pop()
+        if None in elems:
+            raise ValueError(
+                f"no variable with superscript {elems.index(None) + 1} while {len(elems)} is present")
+        if not all(map(operator.lt, elems, elems[1:])):
             raise ValueError(f"peeled indices {elems} are not strictly increasing")
-        for key in zip(elems, range(1, depth + 1)):
-            remaining[key] -= 1
-            if not remaining[key]:
-                del remaining[key]
         chain.append(IndexSet(elems))
 
     for s, t in zip(chain, chain[1:]):

@@ -5,7 +5,8 @@ arguments."""
 
 from __future__ import annotations
 
-from itertools import groupby
+from functools import cache
+from itertools import chain, groupby
 from typing import Mapping, Tuple
 
 # A variable is a plain tuple: ('x', row, col), ('y', row, superscript) or
@@ -69,8 +70,9 @@ def _variable_id(v: Variable) -> int:
     return _ID_TOP - packed
 
 
+@cache
 def _variable(vid: int) -> Variable:
-    """Inverse of _variable_id."""
+    """Inverse of _variable_id. Cached: there are at most 3 * 128**2 ids."""
     packed = _ID_TOP - vid
     first = packed >> 2 * VAR_ID_BITS & _FIELD_MASK
     second = packed >> VAR_ID_BITS & _FIELD_MASK
@@ -102,8 +104,9 @@ def monomial_part(mono: Monomial, kind: str) -> Monomial:
     return tuple(vid for vid in mono if _variable(vid)[0] == kind)
 
 
-def mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(sorted(m1 + m2, reverse=True))
+def mul_monomials(*monos: Monomial) -> Monomial:
+    """The product of any number of monomials, joined and sorted once."""
+    return tuple(sorted(chain.from_iterable(monos), reverse=True))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -273,7 +276,7 @@ class Polynomial(Combination):
         data: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = mul_monomials(m1, m2)
+                mono = tuple(sorted(m1 + m2, reverse=True))  # mul_monomials(m1, m2), inlined
                 data[mono] = data.get(mono, 0) + c1 * c2
         return Polynomial._wrap(data)
 

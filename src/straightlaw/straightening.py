@@ -246,8 +246,7 @@ def _solve(a: IndexSet, b: IndexSet, blocks, n: int) -> tuple[int, int]:
 
 
 def _maxabs(packed: int, n: int) -> int:
-    coeffs = _coefficients(packed, n)
-    return max(max(coeffs, default=0), -min(coeffs, default=0))
+    return max(map(abs, _coefficients(packed, n)), default=0)
 
 
 def _checked(bound: int, a: IndexSet, b: IndexSet, what: str = "straightening") -> None:

@@ -26,9 +26,12 @@ from straightlaw import (
     verify_independence,
     verify_relation_completeness,
     word_leading_witness,
+    xvar,
     yvar,
     zvar,
 )
+from straightlaw.bideterminants import _expand_minor
+from straightlaw.polynomials import exponents
 
 from conftest import binet_cauchy_check, fraction_rank, substitute
 
@@ -97,6 +100,58 @@ def test_decode_examples():
         decode_leading(monomial({yvar(1, 0): 1, yvar(2, 1): 1}), "rows")
 
 
+def _reference_decode(mono, kind):
+    """decode_leading as a peel loop that rescans the remaining variables on
+    every peel: the specification the indexed peel must match, error
+    messages included."""
+    if kind == "rows":
+        want = "y"
+    elif kind == "cols":
+        want = "z"
+    else:
+        raise ValueError(f"kind must be 'rows' or 'cols', got {kind!r}")
+    remaining = {}
+    for v, e in exponents(mono).items():
+        if v[0] != want:
+            raise ValueError(f"expected only {want}-variables, found {v[0]}[{v[1]},{v[2]}]")
+        remaining[(v[1], v[2])] = e
+    chain = []
+    while remaining:
+        least = {}
+        for idx, sup in remaining:
+            if idx < least.get(sup, idx + 1):
+                least[sup] = idx
+        if min(least) < 1:
+            raise ValueError(f"superscript {min(least)} is below 1")
+        depth = max(least)
+        for s in range(1, depth + 1):
+            if s not in least:
+                raise ValueError(f"no variable with superscript {s} while {depth} is present")
+        elems = [least[s] for s in range(1, depth + 1)]
+        if any(x >= y for x, y in zip(elems, elems[1:])):
+            raise ValueError(f"peeled indices {elems} are not strictly increasing")
+        for key in zip(elems, range(1, depth + 1)):
+            remaining[key] -= 1
+            if not remaining[key]:
+                del remaining[key]
+        chain.append(IndexSet(elems))
+    for s, t in zip(chain, chain[1:]):
+        if not leq(s, t):
+            raise ValueError(f"decoded sets {s}, {t} do not form a chain")
+    return chain
+
+
+def _outcome(decode, mono, kind):
+    try:
+        return decode(mono, kind)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_decodes_like_reference(mono, kind):
+    assert _outcome(decode_leading, mono, kind) == _outcome(_reference_decode, mono, kind)
+
+
 def test_decode_round_trip_on_all_chains():
     # every chain a_1 <= ... <= a_r on {1..4}, r <= 3, decodes back exactly
     sets = [IndexSet(c) for r in range(1, 5) for c in itertools.combinations(range(1, 5), r)]
@@ -110,6 +165,86 @@ def test_decode_round_trip_on_all_chains():
         for s in chain:
             mono = mul_monomials(mono, _witness_factor(s))
         assert decode_leading(mono, "rows") == chain, chain
+        for kind in ("rows", "cols", "sideways"):
+            _assert_decodes_like_reference(mono, kind)
+
+
+def _left_to_right(word):
+    total = Polynomial.one()
+    for f in word:
+        total = total * _expand_minor(f.rows, f.cols)
+    return total
+
+
+def test_expand_word_equals_the_product_of_its_factors():
+    minors = nonzero_minors(2, 2)
+    rng = random.Random(26)
+    words = list(standard_words(2, 2, 3))
+    # repeated factors, in and out of standard order
+    words += [tuple(rng.choice(minors[:3]) for _ in range(rng.randint(2, 6))) for _ in range(30)]
+    words.append((Minor([1], [1]),) * 1201)
+    for word in words:
+        assert expand_word(word) == _left_to_right(word), word
+
+
+def test_expand_word_multiplies_once_per_new_standard_word(monkeypatch):
+    # shorter words first: both halves of every word are already cached
+    words = standard_words(2, 2, 3)
+    calls = []
+    multiply = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda p, q: calls.append(1) or multiply(p, q))
+    expand_word.cache_clear()
+    for word in words:
+        expand_word(word)
+    assert len(calls) == sum(len(w) > 1 for w in words)
+
+
+def test_word_witness_is_the_product_of_factor_witnesses():
+    for word in standard_words(3, 3, 3):
+        product = MONOMIAL_ONE
+        for f in word:
+            product = mul_monomials(product, minor_leading_monomial(f.rows, f.cols, 3))
+        assert word_leading_witness(word, 3) == product, word
+
+
+def test_cached_minor_still_checks_its_inner_dimension():
+    a = IndexSet([1, 2])
+    assert minor_leading_monomial(a, a, 3) == minor_leading_monomial(a, a, 2)
+    with pytest.raises(ValueError, match="need N >= 2, got N=1"):
+        minor_leading_monomial(a, a, 1)
+    with pytest.raises(ValueError, match="size mismatch"):
+        minor_leading_monomial(a, IndexSet([1]), 3)
+
+
+@st.composite
+def witness_like_monomials(draw):
+    """A y- or z-monomial and the kind to decode it as: indices 0 and 65,
+    superscript 0 and gaps, exponents above 1, and now and then a foreign
+    variable."""
+    kind = draw(st.sampled_from(["rows", "cols"]))
+    make, foreign = (yvar, zvar) if kind == "rows" else (zvar, yvar)
+    keys = st.tuples(st.sampled_from([0] + [1, 2, 3, 4, 5, 6] * 4 + [65]),
+                     st.sampled_from([0] + [1, 1, 2, 2, 3, 4] * 4))
+    powers = draw(st.dictionaries(keys, st.integers(1, 3), max_size=10))
+    exps = {make(i, s): e for (i, s), e in powers.items()}
+    if draw(st.integers(0, 9)) == 0:
+        exps[draw(st.sampled_from([foreign, xvar]))(draw(st.integers(1, 6)), draw(st.integers(1, 4)))] = 1
+    return monomial(exps), kind
+
+
+@given(witness_like_monomials())
+@settings(max_examples=300, deadline=None)
+def test_decode_matches_reference_on_drawn_monomials(drawn):
+    mono, kind = drawn
+    _assert_decodes_like_reference(mono, kind)
+    _assert_decodes_like_reference(mono[::-1], kind)  # a tuple out of block order
+
+
+@given(st.lists(st.sets(st.integers(1, 5), min_size=1), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_reference_on_witnesses_of_non_chains(sets):
+    mono = mul_monomials(*(_witness_factor(IndexSet(s)) for s in sets))
+    _assert_decodes_like_reference(mono, "rows")
 
 
 def test_integer_rank_small_cases():
