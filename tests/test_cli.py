@@ -1,11 +1,15 @@
+import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from straightlaw import (
     Minor,
@@ -52,18 +56,27 @@ def test_parse_unit_and_zero():
     assert parse_expression("[1|1] - [1|1]") == WordCombination()
 
 
+PARSE_ERRORS = [
+    ("", 0, "empty expression"),
+    ("[1|1] <- note", 6, "unexpected character '<'"),
+    ("[0|1]", 1, "index must be >= 1, got 0"),
+    ("[1 2", 4, "expected bar, found end of input"),
+    ("[1]", 2, "expected bar, found ']'"),
+    ("[1|1", 4, "expected close, found end of input"),
+    ("[1 1|2]", 0, "duplicate index 1"),
+    ("[65|1]", 0, "index 65 exceeds the supported bound 64"),
+    ("2 + 3", 2, "a term needs at least one [rows|cols] factor, found '+'"),
+    ("-", 1, "a term needs at least one [rows|cols] factor"),
+    ("[1|1] 2[2|2]", 6, "expected '+' or '-', found '2'"),
+]
+
+
 def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as exc:
-        parse_expression("[0|1]")
-    assert exc.value.pos == 1
-    with pytest.raises(ParseError):
-        parse_expression("")
-    with pytest.raises(ParseError):
-        parse_expression("[1|1] <- note")
-    with pytest.raises(ParseError):
-        parse_expression("2 + 3")
-    with pytest.raises(ParseError):
-        parse_expression("[1 1|2]")
+    # pos is the 0-based index of the offending character, len(text) at the end.
+    for text, pos, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert (exc.value.pos, str(exc.value)) == (pos, f"parse error at position {pos}: {message}")
 
 
 def test_tokenize_skips_tabs_and_reads_unicode_digits():
@@ -75,11 +88,33 @@ def test_tokenize_skips_tabs_and_reads_unicode_digits():
     ]
 
 
-def test_printer_round_trip():
-    for text in ("[1 2|1 3]", "2[1|1] - [2|2]", "[1|2][2|1]", "[|]", "0",
-                 "-[1|1] + 4[1 2|1 2][2|2]"):
-        combo = parse_expression(text)
-        assert parse_expression(str(combo)) == combo
+_index_sets = st.lists(st.integers(1, 9), max_size=4, unique=True)
+_words = st.one_of(
+    st.just((Minor((), ()),)),
+    st.lists(st.builds(Minor, _index_sets, _index_sets), min_size=1, max_size=3).map(tuple),
+)
+_combinations = st.lists(st.tuples(_words, st.integers(-120, 120)), max_size=4).map(WordCombination)
+
+
+@given(_combinations)
+@example(parse_expression("[1 2|1 3]"))
+@example(parse_expression("2[1|1] - [2|2]"))
+@example(parse_expression("[1|2][2|1]"))
+@example(parse_expression("[|]"))
+@example(parse_expression("0"))
+@example(parse_expression("-[1|1] + 4[1 2|1 2][2|2]"))
+@settings(max_examples=200, deadline=None)
+def test_printer_round_trip(combo):
+    assert parse_expression(str(combo)) == combo
+
+
+def test_console_script_targets_cli_main():
+    # A regex, not tomllib: Python 3.10 has no tomllib.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n?)*)", pyproject, re.M)
+    target = re.search(r'^straightlaw\s*=\s*"([\w.]+):(\w+)"', scripts[1], re.M)
+    module, attr = target.groups()
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_straighten_emits_verified_certificate(capsys):
