@@ -73,78 +73,44 @@ def _parse_raw(text: str) -> list:
         raise ParseError("empty expression", 0)
     if len(tokens) == 1 and tokens[0][0] == "int" and tokens[0][1] == "0":
         return []
-
-    i = 0
+    # Every loop below stops at the end-of-input sentinel, so none reads past it.
+    stream = iter(tokens + [(None, None, len(text))])
+    kind, value, pos = next(stream)
     terms: list = []
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None, len(text))
-
-    def expect(kind: str):
-        nonlocal i
-        k, v, p = peek()
-        if k != kind:
-            raise ParseError(f"expected {kind}, found {v!r}" if k else f"expected {kind}, found end of input", p)
-        i += 1
-        return v, p
-
-    def parse_indices():
-        nonlocal i
-        out = []
-        while peek()[0] == "int":
-            v, p = expect("int")
-            value = int(v)
-            if value < 1:
-                raise ParseError(f"index must be >= 1, got {v}", p)
-            out.append(value)
-        return out
-
-    def parse_factor() -> Minor:
-        _, p = expect("open")
-        rows = parse_indices()
-        expect("bar")
-        cols = parse_indices()
-        expect("close")
-        try:
-            return Minor(IndexSet(rows), IndexSet(cols))
-        except ValueError as exc:
-            raise ParseError(str(exc), p) from None
-
-    def parse_term(sign: int):
-        nonlocal i
-        coeff = sign
-        k, v, p = peek()
-        if k == "int":
-            i += 1
-            coeff = sign * int(v)
+    while kind or not terms:
+        coeff = 1
+        if kind in ("plus", "minus"):
+            coeff = -1 if kind == "minus" else 1
+            kind, value, pos = next(stream)
+        elif terms:
+            raise ParseError(f"expected '+' or '-', found {value!r}", pos)
+        if kind == "int":
+            coeff *= int(value)
+            kind, value, pos = next(stream)
         factors = []
-        while peek()[0] == "open":
-            factors.append(parse_factor())
+        while kind == "open":
+            start, sets = pos, []
+            for closer in ("bar", "close"):
+                indices = []
+                kind, value, pos = next(stream)
+                while kind == "int":
+                    if (index := int(value)) < 1:
+                        raise ParseError(f"index must be >= 1, got {value}", pos)
+                    indices.append(index)
+                    kind, value, pos = next(stream)
+                if kind != closer:
+                    raise ParseError(f"expected {closer}, found {value!r}" if kind
+                                     else f"expected {closer}, found end of input", pos)
+                sets.append(indices)
+            try:
+                factors.append(Minor(*sets))
+            except ValueError as exc:
+                raise ParseError(str(exc), start) from None
+            kind, value, pos = next(stream)
         if not factors:
-            k2, v2, p2 = peek()
-            raise ParseError(
-                "a term needs at least one [rows|cols] factor"
-                + (f", found {v2!r}" if k2 else ""),
-                p2,
-            )
+            raise ParseError("a term needs at least one [rows|cols] factor"
+                             + (f", found {value!r}" if kind else ""), pos)
         terms.append((tuple(factors), coeff))
-
-    sign = 1
-    k, _, _ = peek()
-    if k in ("plus", "minus"):
-        sign = 1 if k == "plus" else -1
-        i += 1
-    parse_term(sign)
-    while i < len(tokens):
-        k, v, p = peek()
-        if k == "plus":
-            i += 1
-            parse_term(1)
-        elif k == "minus":
-            i += 1
-            parse_term(-1)
-        else:
-            raise ParseError(f"expected '+' or '-', found {v!r}", p)
     return terms
 
 
@@ -153,7 +119,9 @@ def parse_expression(text: str) -> WordCombination:
 
     Grammar: expression := sign? term (('+'|'-') term)* ; term := int? factor+ ;
     factor := '[' int* '|' int* ']'. Indices are 1-based; "0" alone denotes the
-    zero expression. Whitespace is insignificant.
+    zero expression. Whitespace is insignificant. A malformed expression
+    raises ParseError, shown as "parse error at position P: ...", where P is
+    the 0-based index of the offending character, or len(text) at the end.
     """
     return WordCombination(_parse_raw(text))
 

@@ -111,9 +111,7 @@ def test_printer_round_trip(combo):
 def test_console_script_targets_cli_main():
     # A regex, not tomllib: Python 3.10 has no tomllib.
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n?)*)", pyproject, re.M)
-    target = re.search(r'^straightlaw\s*=\s*"([\w.]+):(\w+)"', scripts[1], re.M)
-    module, attr = target.groups()
+    module, attr = re.search(r'^\[project\.scripts\]\nstraightlaw = "([\w.]+):(\w+)"', pyproject, re.M).groups()
     assert getattr(importlib.import_module(module), attr) is main
 
 
